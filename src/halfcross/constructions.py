@@ -244,7 +244,8 @@ def locate_tile_ternary(a: Point, code: BlockCode) -> Point:
         v = ADJUST[pair][PHI[w[i]]]
         out.extend(v)
     x = tuple(o - yi for o, yi in zip(out, y))
-    assert covers(x, a), f"locator produced a non-covering point {x} for {a}"
+    if not covers(x, a):
+        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
     return x
 
 

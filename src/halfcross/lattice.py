@@ -151,7 +151,9 @@ def is_lattice_tiling(tiling) -> bool:
     True iff the window codewords form a subgroup of (Z_p)^n under addition;
     then T + pZ^n is an integer lattice.  Uses incremental subgroup closure
     (the subgroup at least doubles per added generator), so the scan is
-    near-linear in the codeword count.
+    near-linear in the codeword count.  Raises ValueError when the codewords
+    form a subgroup whose size cannot tile the window, so the input was not
+    a tiling.
     """
     p, n = tiling.p, tiling.n
     target = set(tiling.codewords)
@@ -177,9 +179,13 @@ def is_lattice_tiling(tiling) -> bool:
             break
     ok = group == target
     if ok:
-        # sanity: a lattice tiling's volume equals the shape size
+        # a lattice tiling's volume equals the shape size
         shape_size = 2**n * (n + 1)
-        assert p**n == len(target) * shape_size, "tiling count inconsistent"
+        if p**n != len(target) * shape_size:
+            raise ValueError(
+                f"not a tiling: {len(target)} codewords of {shape_size} cells "
+                f"do not fill {p}^{n} = {p**n} cells"
+            )
     return ok
 
 

@@ -4,7 +4,11 @@ A periodic tiling with period p is stored by its window codewords in
 {0,..,p-1}^n.  Verification marks, for every codeword X and shape offset D,
 the cell (X - D) mod p, and demands that every cell of the p^n window is
 marked exactly once.  The window is sharded by the last coordinate so the
-12^8-cell case fits comfortably in memory.
+12^8-cell case fits comfortably in memory.  A shard's marks are broadcast
+outer sums of per-codeword tables (one entry per coordinate and offset
+entry), written into one buffer, sorted once and scanned once: adjacent
+differences count the uncovered and multiply covered cells, and the first
+place the sorted marks leave the range 0, 1, ... names the lowest bad cell.
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Point, torus_covers, torus_cross_distance, upsilon_offsets
+from .geometry import Point, torus_covers, torus_cross_distance
 
 #: default ceiling on window size p^n (the 12^8 case, criterion scale)
 DEFAULT_CELL_BUDGET = 12**8
 #: min cross distance is only computed when k^2 stays below this
 DEFAULT_PAIR_BUDGET = 10**8
 
-_OFFSET_LAST = (-1, 0, 1, 2)
+#: the entries an offset D can take per coordinate; mark tables index them
+#: in this order, so j = 1, 2 are the core entries 0, 1 and j = 0, 3 the arms
+_ENTRIES = (-1, 0, 1, 2)
+#: the witness scan compares sorted marks against a range in slices this long
+_SCAN_SLICE = 8_000_000
 
 
 class CellBudgetExceeded(ValueError):
@@ -41,6 +49,8 @@ class PeriodicTiling:
     codewords: tuple[Point, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.p < 4:
             raise ValueError(f"period must be >= 4, got {self.p}")
         seen = set()
@@ -162,6 +172,56 @@ def _index_to_point(idx: int, n: int, p: int) -> Point:
     return tuple(coords)
 
 
+def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
+    """T[i, j, x] = ((xs[x, i] - _ENTRIES[j]) mod p) * p^i.
+
+    One entry per coordinate and offset entry: a mark is the sum of one
+    entry per coordinate.  The codeword axis is innermost, so every sum below
+    runs over long contiguous rows.
+    """
+    radix = p ** np.arange(xs.shape[1], dtype=np.int64)
+    d = np.array(_ENTRIES, dtype=np.int64)
+    t = (xs.T[:, None, :] - d[None, :, None]) % p * radix[:, None, None]
+    return np.ascontiguousarray(t, dtype=dtype)
+
+
+def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
+    """Write the marks of one codeword group to the front of out; return the count.
+
+    t is the group's table over the m = n - 1 leading coordinates.  The core
+    block (every entry in {0, 1}) comes first, as 2^m rows whose row index
+    has bit i set when coordinate i takes 1; it is built by doubling.  With
+    ``arms``, each coordinate r with entry -1 or 2 follows: the core rows
+    with bit r clear, shifted by that entry's difference from 0.
+    """
+    m, _, k = t.shape
+    core = out[: k << m].reshape(1 << m, k)
+    core[0] = t[:, 1].sum(axis=0)
+    for i in range(m):
+        h = 1 << i
+        np.add(core[:h], t[i, 2] - t[i, 1], out=core[h : 2 * h])
+    pos = core.size
+    if not arms:
+        return pos
+    for r in range(m):
+        base = core.reshape(1 << (m - 1 - r), 2, 1 << r, k)[:, 0]
+        for j in (0, 3):
+            block = out[pos : pos + base.size].reshape(base.shape)
+            np.add(base, t[r, j] - t[r, 1], out=block)
+            pos += base.size
+    return pos
+
+
+def _first_mismatch(arr: np.ndarray, stop: int) -> int:
+    """Lowest i < stop with arr[i] != i, or stop if there is none."""
+    for lo in range(0, stop, _SCAN_SLICE):
+        seg = arr[lo : min(lo + _SCAN_SLICE, stop)]
+        bad = np.flatnonzero(seg != np.arange(lo, lo + seg.size, dtype=arr.dtype))
+        if bad.size:
+            return lo + int(bad[0])
+    return stop
+
+
 def verify(
     tiling: PeriodicTiling,
     *,
@@ -171,85 +231,63 @@ def verify(
     """Exact-cover check of the full p^n window.
 
     Marks (X - D) mod p for every codeword X and offset D, sharded by the
-    cell's last coordinate; each shard's cell indices are sorted and compared
-    against the full range, so exact-once covering (and hence both the
-    packing and covering properties) is established with one byte-bounded
-    pass per shard.  The minimum torus cross distance over codeword pairs is
-    reported when the pair count is within budget.
+    cell's last coordinate.  A shard's marks are outer sums of small
+    per-codeword tables, one entry per coordinate, since the offsets are
+    exactly the D in {-1,0,1,2}^n with at most one entry in {-1, 2}; they are
+    written into one buffer and sorted once.  Adjacent differences of the
+    sorted marks count the distinct cells and the cells marked more than
+    once, so exact-once covering (and hence both the packing and covering
+    properties) takes one sort and one scan per shard.  The first bad shard's
+    sorted marks are also compared against the range 0, 1, ..., whose first
+    mismatch names the lowest bad cell.  Cell indices are int32 while a shard
+    has fewer than 2^31 cells and int64 beyond.  The minimum torus cross
+    distance over codeword pairs is reported when the pair count is within
+    budget.
     """
     n, p = tiling.n, tiling.p
     total = p**n
     if total > cell_budget:
         raise CellBudgetExceeded(f"window {p}^{n} = {total} exceeds budget {cell_budget}")
     shard_size = total // p
-    shape = upsilon_offsets(n)
+    dtype = np.int32 if shard_size < 2**31 else np.int64
     k = len(tiling.codewords)
 
-    # codeword first-coordinates grouped by last coordinate value
-    cw = np.array(tiling.codewords, dtype=np.int32).reshape(k, n)
-    by_last: list[np.ndarray] = []
-    for v in range(p):
-        sel = cw[cw[:, n - 1] == v][:, : n - 1]
-        by_last.append(np.ascontiguousarray(sel))
-    offs = np.array(shape.offsets, dtype=np.int32)
-    off_by_last = {
-        d: np.ascontiguousarray(offs[offs[:, n - 1] == d][:, : n - 1])
-        for d in _OFFSET_LAST
-    }
-    radix = np.array([p**i for i in range(n - 1)], dtype=np.int64)
-
+    # mark tables of the codewords grouped by their last coordinate value;
+    # shard c takes the group c + d for each last offset entry d, with arms
+    # only where d is 0 or 1
+    cw = np.array(tiling.codewords, dtype=np.int64).reshape(k, n)
+    tables = [_mark_tables(cw[cw[:, n - 1] == v, : n - 1], p, dtype) for v in range(p)]
+    shards = [[(tables[(c + d) % p], d in (0, 1)) for d in _ENTRIES] for c in range(p)]
+    per_word = 1 << (n - 1)
+    buf = np.empty(
+        max(sum(t.shape[2] * per_word * (n if arms else 1) for t, arms in s) for s in shards),
+        dtype=dtype,
+    )
     uncovered = 0
     multiply = 0
     witness_idx: int | None = None
-    for c in range(p):
-        marks = sum(
-            by_last[(c + dlast) % p].shape[0] * off_by_last[dlast].shape[0]
-            for dlast in _OFFSET_LAST
-        )
-        arr = np.empty(marks, dtype=np.int32)
+    for c, groups in enumerate(shards):
         pos = 0
-        for dlast in _OFFSET_LAST:
-            xs = by_last[(c + dlast) % p]
-            ds = off_by_last[dlast]
-            if xs.shape[0] == 0 or ds.shape[0] == 0:
-                continue
-            m1 = ds.shape[0]
-            chunk = max(1, 4_000_000 // m1)
-            for lo in range(0, xs.shape[0], chunk):
-                block = xs[lo : lo + chunk]
-                idx = np.zeros((block.shape[0], m1), dtype=np.int32)
-                for i in range(n - 1):
-                    idx += ((block[:, i, None] - ds[None, :, i]) % p).astype(
-                        np.int32
-                    ) * np.int32(radix[i])
-                flat = idx.ravel()
-                arr[pos : pos + flat.size] = flat
-                pos += flat.size
+        for t, arms in groups:
+            pos += _write_marks(t, buf[pos:], arms)
+        arr = buf[:pos]
         arr.sort()
-        ok = arr.size == shard_size
-        if ok:
-            # sorted equals 0..shard_size-1, checked in bounded slices
-            for lo in range(0, shard_size, 8_000_000):
-                seg = arr[lo : lo + 8_000_000]
-                if not np.array_equal(
-                    seg, np.arange(lo, lo + seg.size, dtype=np.int32)
-                ):
-                    ok = False
-                    break
-        if ok:
+        step = arr[1:] != arr[:-1]
+        distinct = min(pos, 1) + int(np.count_nonzero(step))
+        runs = 0
+        if distinct < pos:
+            # a run of equal marks starts where a step is followed by no step
+            runs = int(np.count_nonzero(step[:-1] > step[1:])) + int(not step[0])
+        if distinct == shard_size and runs == 0:
             continue
-        uniq, counts = np.unique(arr, return_counts=True)
-        multiply += int(np.count_nonzero(counts > 1))
-        uncovered += shard_size - uniq.size
+        uncovered += shard_size - distinct
+        multiply += runs
         if witness_idx is None:
-            # lowest local cell index that is uncovered or multiply covered
-            bad_multi = int(uniq[counts > 1][0]) if np.any(counts > 1) else None
-            bad_gap = None
-            if uniq.size < shard_size:
-                mismatch = np.flatnonzero(uniq != np.arange(uniq.size, dtype=arr.dtype))
-                bad_gap = int(mismatch[0]) if mismatch.size else int(uniq.size)
-            candidates = [b for b in (bad_multi, bad_gap) if b is not None]
-            witness_idx = min(candidates) + c * shard_size
+            # marks below i equal 0..i-1; arr[i] > i leaves cell i uncovered,
+            # arr[i] < i (so arr[i] == i - 1) covers cell i - 1 twice
+            i = _first_mismatch(arr, min(pos, shard_size + 1))
+            bad = i - 1 if i < pos and arr[i] < i else i
+            witness_idx = bad + c * shard_size
 
     first_witness = None
     if witness_idx is not None:
@@ -277,8 +315,10 @@ def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
     p = tiling.p
     cw = np.array(tiling.codewords, dtype=np.int64)
     k = cw.shape[0]
+    if k < 2:
+        raise ValueError(f"min cross distance needs two codewords, got {k}")
     best = None
-    chunk = max(1, 2_000_000 // max(1, k))
+    chunk = max(1, 2_000_000 // k)
     for lo in range(0, k, chunk):
         block = cw[lo : lo + chunk]
         d = np.abs(block[:, None, :] - cw[None, :, :]) % p
@@ -288,7 +328,6 @@ def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
             d[i, lo + i] = np.iinfo(d.dtype).max
         m = int(d.min())
         best = m if best is None else min(best, m)
-    assert best is not None
     return best
 
 
@@ -554,11 +593,11 @@ def read_tiling(path: str | Path) -> PeriodicTiling:
         n = int(lines[1].removeprefix("n "))
         p = int(lines[2].removeprefix("p "))
         count = int(lines[3].removeprefix("count "))
-        words = []
-        for line in lines[4 : 4 + count]:
-            words.append(tuple(int(v) for v in line.split()))
-        if len(words) != count:
-            raise TilingFormatError(f"expected {count} codewords, got {len(words)}")
+        if count < 0:
+            raise TilingFormatError(f"count must be >= 0, got {count}")
+        if len(lines) != 4 + count:
+            raise TilingFormatError(f"expected {count} codewords, got {len(lines) - 4}")
+        words = [tuple(int(v) for v in line.split()) for line in lines[4:]]
     except (IndexError, ValueError) as exc:
         if isinstance(exc, TilingFormatError):
             raise

@@ -105,10 +105,15 @@ def test_verify_audit_normalizes_translate(tmp_path, capsys):
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "junk.tiling"
-    path.write_text("TILING v9\n")
-    code, _, err = run(capsys, "verify", "--tiling", str(path))
-    assert code == EXIT_USAGE
-    assert "error" in err
+    for text in (
+        "TILING v9\n",
+        "TILING v1\nn -3\np 12\ncount 0\n",
+        "TILING v1\nn 2\np 12\ncount 1\n0 0\n3 2\n0 4\n",
+    ):
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", "--tiling", str(path))
+        assert code == EXIT_USAGE
+        assert "error" in err
 
 
 def test_locate_commands(tmp_path, capsys):

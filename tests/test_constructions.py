@@ -173,6 +173,15 @@ def test_locate_ternary_agrees_with_membership_nu2():
         assert tuple(v % 12 for v in x) in words
 
 
+def test_locate_ternary_raises_on_non_covering_result(monkeypatch):
+    # the cover check on the result must survive python -O
+    from halfcross import constructions
+
+    monkeypatch.setattr(constructions, "covers", lambda x, a: False)
+    with pytest.raises(RuntimeError):
+        locate_tile_ternary((1, 1), ternary_hamming(1))
+
+
 def test_locate_binary_covers_window():
     code = binary_hamming(3)
     tiling = from_binary_perfect(code)

@@ -126,6 +126,12 @@ def test_is_lattice_tiling_rejects_non_subgroup():
     )
 
 
+def test_is_lattice_tiling_rejects_subgroup_of_wrong_size():
+    # {0, 2} is a subgroup of Z_4, but two copies of the 4-cell shape fill 8
+    with pytest.raises(ValueError):
+        is_lattice_tiling(PeriodicTiling(n=1, p=4, codewords=((0,), (2,))))
+
+
 def test_lattice_file_round_trip(tmp_path):
     lat = lambda_lattice(2)
     path = tmp_path / "l2.lattice"

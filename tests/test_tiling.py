@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from halfcross.geometry import torus_covers, upsilon_offsets
@@ -9,6 +10,9 @@ from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
     TilingFormatError,
+    _mark_tables,
+    _min_torus_cross_distance,
+    _write_marks,
     admissible_dimension,
     is_periodic_with,
     nonexistence_certificate,
@@ -33,7 +37,12 @@ def lambda2_tiling():
 
 
 def verify_oracle(tiling):
-    """Per-cell cover counting straight from the definition (p^n <= 1e5)."""
+    """Per-cell cover counting straight from the definition (p^n <= 1e5).
+
+    Returns (uncovered, multiply covered, witness), where the witness is the
+    lowest-index bad cell, indexed mixed-radix with coordinate 1 fastest, with
+    its cover count, or None for a tiling.
+    """
     n, p = tiling.n, tiling.p
     assert p**n <= 10**5
     counts = {}
@@ -43,7 +52,25 @@ def verify_oracle(tiling):
             counts[cell] = counts.get(cell, 0) + 1
     uncovered = p**n - len(counts)
     multiply = sum(1 for v in counts.values() if v > 1)
-    return uncovered, multiply
+    witness = None
+    for rev in itertools.product(range(p), repeat=n):
+        cell = rev[::-1]
+        if counts.get(cell, 0) != 1:
+            witness = (cell, counts.get(cell, 0))
+            break
+    return uncovered, multiply, witness
+
+
+def assert_matches_oracle(tiling):
+    report = verify(tiling)
+    unc, mult, witness = verify_oracle(tiling)
+    assert (report.uncovered, report.multiply_covered) == (unc, mult), tiling
+    assert report.is_tiling == (witness is None)
+    if witness is None:
+        assert report.first_witness is None
+    else:
+        cell, covering = report.first_witness
+        assert (cell, len(covering)) == witness, tiling
 
 
 def test_verify_lambda2_window():
@@ -64,28 +91,38 @@ def test_verify_matches_oracle_on_perturbations():
         cases.append((base - {(3, 6)}) | {repl})
     cases.append(base | {(5, 5)})
     for words in cases:
-        t = PeriodicTiling(n=2, p=12, codewords=tuple(sorted(words)))
-        report = verify(t)
-        unc, mult = verify_oracle(t)
-        assert report.uncovered == unc, words
-        assert report.multiply_covered == mult, words
-        assert report.is_tiling == (unc == 0 and mult == 0)
+        assert_matches_oracle(PeriodicTiling(n=2, p=12, codewords=tuple(sorted(words))))
 
 
 def test_verify_oracle_random_small():
-    # deterministic pseudo-random codeword sets on small tori, n in {1, 2, 3}
+    # deterministic pseudo-random codeword sets on small tori, n in {1, 2, 3};
+    # the second draw per case is overfull: more marks than cells
     import random
 
     rng = random.Random(20240817)
-    for n, p in ((1, 4), (2, 8), (3, 4)):
+    for n, p in ((1, 4), (1, 7), (2, 8), (3, 4)):
         cells = list(itertools.product(range(p), repeat=n))
+        fit = p**n // (2**n * (n + 1))
         for _ in range(20):
-            k = rng.randrange(1, max(2, p**n // (2**n * (n + 1)) + 2))
-            words = tuple(sorted(rng.sample(cells, k)))
-            t = PeriodicTiling(n=n, p=p, codewords=words)
-            report = verify(t)
-            unc, mult = verify_oracle(t)
-            assert (report.uncovered, report.multiply_covered) == (unc, mult)
+            for k in (rng.randrange(1, max(2, fit + 2)), rng.randrange(fit + 1, p**n + 1)):
+                words = tuple(sorted(rng.sample(cells, k)))
+                assert_matches_oracle(PeriodicTiling(n=n, p=p, codewords=words))
+
+
+def test_outer_sum_marks_enumerate_upsilon():
+    # one codeword at the origin of Z_4^n, where a mark's base-4 digits are
+    # -D_i mod 4, so every mark decodes to one offset D
+    for n in range(1, 6):
+        p, m = 4, n - 1
+        t = _mark_tables(np.zeros((1, m), dtype=np.int64), p, np.int64)
+        offsets = []
+        for d in (-1, 0, 1, 2):
+            out = np.empty(n << m, dtype=np.int64)
+            marks = out[: _write_marks(t, out, arms=d in (0, 1))]
+            for mark in marks.tolist():
+                digits = [(mark // p**i) % p for i in range(m)]
+                offsets.append(tuple((1 - a) % p - 1 for a in digits) + (d,))
+        assert sorted(offsets) == list(upsilon_offsets(n).offsets)
 
 
 def test_verify_witness_is_lowest_bad_cell():
@@ -118,6 +155,26 @@ def test_verify_witness_multiply_covered():
     cell, covering = report.first_witness
     assert len(covering) == 2
     assert all(torus_covers(w, cell, 12) for w in covering)
+
+
+def test_verify_witness_past_int32_cell_indices():
+    # 4^16 cells per shard: the witness index must not wrap at 2^31
+    n, p = 17, 4
+    t = PeriodicTiling(n=n, p=p, codewords=((0,) * n,))
+    report = verify(t, cell_budget=10**12)
+    cell, covering = report.first_witness
+    assert sum(torus_covers(w, cell, p) for w in t.codewords) != 1
+    assert len(covering) != 1
+    index = sum(v * p**i for i, v in enumerate(cell))
+    for lower in range(index):
+        below = tuple((lower // p**i) % p for i in range(n))
+        assert sum(torus_covers(w, below, p) for w in t.codewords) == 1
+
+
+def test_min_cross_distance_needs_two_codewords():
+    for words in ((), ((0, 0),)):
+        with pytest.raises(ValueError):
+            _min_torus_cross_distance(PeriodicTiling(n=2, p=12, codewords=words))
 
 
 def test_verify_min_distance_skipped_over_pair_budget():
@@ -270,6 +327,23 @@ def test_tiling_file_rejects_garbage(tmp_path):
     path.write_text("TILING v1\nn 2\np 12\ncount 1\n0 12\n")
     with pytest.raises(TilingFormatError):
         read_tiling(path)  # coordinate outside the window
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "TILING v1\nn 2\np 12\ncount 1\n0 0\n3 2\n0 4\n",  # trailing lines
+        "TILING v1\nn -3\np 12\ncount 0\n",
+        "TILING v1\nn 0\np 12\ncount 0\n",
+        "TILING v1\nn 2\np 12\ncount -1\n",
+    ],
+    ids=["trailing-lines", "negative-n", "zero-n", "negative-count"],
+)
+def test_tiling_file_strict_header_and_count(tmp_path, text):
+    path = tmp_path / "bad.tiling"
+    path.write_text(text)
+    with pytest.raises(TilingFormatError):
+        read_tiling(path)
 
 
 def test_periodic_tiling_validation():
