@@ -11,6 +11,7 @@ from .geometry import (
     torus_cross_distance,
     upsilon_offsets,
 )
+from ._fileformat import FormatError
 from .codes import (
     BlockCode,
     binary_hamming,

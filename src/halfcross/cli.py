@@ -1,8 +1,8 @@
 """Command-line surface for the half-cross tiling toolkit.
 
 Exit codes: 0 success / positive result, 1 valid run with a negative result,
-2 usage or parse error, 3 precondition failure (e.g. a non-perfect code),
-4 resource budget exceeded.
+2 usage or parse error (including an unreadable or malformed input file),
+3 precondition failure (e.g. a non-perfect code), 4 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,12 +13,18 @@ import sys
 from pathlib import Path
 
 from . import codes, constructions, search, svgout, tiling
+from ._fileformat import FormatError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
+
+
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _print_report(report: tiling.VerificationReport, fmt: str, audit=None) -> None:
@@ -55,8 +61,7 @@ def cmd_gen_code(args) -> int:
         else:
             code = codes.ternary_hamming(args.t)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     codes.write_code(code, args.out)
     ok, _ = codes.is_perfect(code)
     dist = codes.min_hamming_distance(code) if len(code) >= 2 else "n/a"
@@ -68,11 +73,7 @@ def cmd_gen_code(args) -> int:
 
 
 def cmd_build_tiling(args) -> int:
-    try:
-        code = codes.read_code(args.code)
-    except codes.CodeFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    code = codes.read_code(args.code)
     try:
         if args.method == "binary":
             t = constructions.from_binary_perfect(code)
@@ -81,14 +82,9 @@ def cmd_build_tiling(args) -> int:
         else:
             t = constructions.from_ternary_perfect(code)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return _error(exc, EXIT_PRECONDITION)
     tiling.write_tiling(t, args.out)
-    try:
-        report = tiling.verify(t)
-    except tiling.CellBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = tiling.verify(t)
     print(f"n: {t.n}")
     print(f"p: {t.p}")
     print(f"count: {len(t)}")
@@ -97,17 +93,9 @@ def cmd_build_tiling(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        t = tiling.read_tiling(args.tiling)
-    except tiling.TilingFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        pair_budget = tiling.DEFAULT_PAIR_BUDGET if args.min_dist else 0
-        report = tiling.verify(t, pair_budget=pair_budget)
-    except tiling.CellBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    t = tiling.read_tiling(args.tiling)
+    pair_budget = tiling.DEFAULT_PAIR_BUDGET if args.min_dist else 0
+    report = tiling.verify(t, pair_budget=pair_budget)
     audit = None
     if args.audit:
         try:
@@ -117,20 +105,15 @@ def cmd_verify(args) -> int:
                 normalized = tiling.normalize(t, t.codewords[0])
             audit = tiling.structural_audit(normalized, report)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+            return _error(exc, EXIT_PRECONDITION)
     _print_report(report, args.format, audit)
     return EXIT_OK if report.is_tiling else EXIT_NEGATIVE
 
 
 def cmd_locate(args) -> int:
+    code = codes.read_code(args.code)
     try:
-        code = codes.read_code(args.code)
-    except codes.CodeFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    point = tuple(int(v) for v in args.point.split())
-    try:
+        point = tuple(int(v) for v in args.point.split())
         if args.tiling_method == "binary":
             x = constructions.locate_tile_binary(point, code)
             p = 4
@@ -138,8 +121,7 @@ def cmd_locate(args) -> int:
             x = constructions.locate_tile_ternary(point, code)
             p = 12
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     offset = tuple(xi - ai for xi, ai in zip(x, point))
     print(f"codeword: {' '.join(str(v) for v in x)}")
     print(f"codeword_mod_{p}: {' '.join(str(v % p) for v in x)}")
@@ -149,7 +131,10 @@ def cmd_locate(args) -> int:
 
 def cmd_exist(args) -> int:
     n = args.n
-    adm = tiling.admissible_dimension(n)
+    try:
+        adm = tiling.admissible_dimension(n)
+    except ValueError as exc:
+        return _error(exc, EXIT_USAGE)
     cert = tiling.nonexistence_certificate(n)
     if not adm.admissible:
         print(f"n: {n}")
@@ -164,17 +149,16 @@ def cmd_exist(args) -> int:
     print(f"n: {n}")
     print(f"admissible: yes (n = {adm.base}^{adm.t} - 1)")
     print(f"certificate: {cert.conclusion}")
-    # build a witness when the window fits the verification budget
-    if adm.base == 2:
-        code = codes.binary_hamming(adm.t)
-        witness = constructions.from_binary_perfect(code)
-    else:
-        code = codes.ternary_hamming(adm.t)
-        witness = constructions.from_ternary_perfect(code)
-    if witness.p ** witness.n > tiling.DEFAULT_CELL_BUDGET:
-        print(f"witness: construction gives {len(witness)} codewords over "
-              f"Z_{witness.p}^{witness.n}; window too large to verify here")
+    # the construction's window is the forced one; build a witness only
+    # when that window fits the verification budget
+    if cert.window_size > tiling.DEFAULT_CELL_BUDGET:
+        print(f"witness: construction gives {cert.window_size // cert.shape_size} "
+              f"codewords over Z_{cert.forced_period}^{n}; window too large to verify here")
         return EXIT_OK
+    if adm.base == 2:
+        witness = constructions.from_binary_perfect(codes.binary_hamming(adm.t))
+    else:
+        witness = constructions.from_ternary_perfect(codes.ternary_hamming(adm.t))
     report = tiling.verify(witness, pair_budget=0)
     print(f"witness: {len(witness)} codewords over Z_{witness.p}^{witness.n}, "
           f"verify: {'tiling' if report.is_tiling else 'not-a-tiling'}")
@@ -193,8 +177,7 @@ def cmd_search(args) -> int:
             node_budget=args.node_budget,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     solutions, stats = search.search_tilings(cfg)
     print(f"nodes: {stats.nodes}")
     print(f"backtracks: {stats.backtracks}")
@@ -211,18 +194,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_export_svg(args) -> int:
-    try:
-        t = tiling.read_tiling(args.tiling)
-    except tiling.TilingFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    t = tiling.read_tiling(args.tiling)
     if t.n != 2:
-        print(f"error: SVG export requires n = 2, got n = {t.n}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"SVG export requires n = 2, got n = {t.n}", EXIT_USAGE)
     report = tiling.verify(t, pair_budget=0)
     if not report.is_tiling:
-        print("error: refusing to draw an invalid tiling (verify failed)", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return _error("refusing to draw an invalid tiling (verify failed)", EXIT_PRECONDITION)
     doc = svgout.svg_document(t)
     Path(args.out).write_text(doc, encoding="ascii")
     print(f"wrote: {args.out}")
@@ -233,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfcross",
         description="Half-cross tilings of Z^n from binary and ternary perfect codes",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=0,
-        help="cap internal parallelism (output is identical regardless)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -289,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FormatError, OSError) as exc:
+        return _error(exc, EXIT_USAGE)
+    except tiling.CellBudgetExceeded as exc:
+        return _error(exc, EXIT_BUDGET)
 
 
 if __name__ == "__main__":

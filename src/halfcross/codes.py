@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Point, hamming_distance
+from . import _fileformat
+from .geometry import Point, pairwise_minimum
 
 #: largest codeword list we materialize (3^11, the ternary t=3 code size)
 MAX_CODEWORDS = 3**11
@@ -21,7 +22,7 @@ MAX_LENGTH = 31
 MAX_TERNARY_LENGTH = 13
 
 
-class CodeFormatError(ValueError):
+class CodeFormatError(_fileformat.FormatError):
     """A CODE v1 file failed to parse."""
 
 
@@ -37,6 +38,8 @@ class BlockCode:
     def __post_init__(self):
         if self.q not in (2, 3):
             raise ValueError(f"alphabet size must be 2 or 3, got {self.q}")
+        if self.length < 1:
+            raise ValueError(f"length must be >= 1, got {self.length}")
         seen = set()
         for w in self.codewords:
             if len(w) != self.length:
@@ -145,20 +148,8 @@ def ternary_hamming(t: int) -> BlockCode:
 
 def min_hamming_distance(code: BlockCode) -> int:
     """Minimum pairwise Hamming distance; needs at least two codewords."""
-    k = len(code.codewords)
-    if k < 2:
-        raise ValueError("minimum distance needs at least 2 codewords")
     words = np.array(code.codewords, dtype=np.int8)
-    best = code.length
-    chunk = max(1, 4_000_000 // max(1, k))
-    for lo in range(0, k, chunk):
-        block = words[lo : lo + chunk]
-        d = (block[:, None, :] != words[None, :, :]).sum(axis=2)
-        # mask the self-comparisons inside this block
-        for i in range(block.shape[0]):
-            d[i, lo + i] = code.length + 1
-        best = min(best, int(d.min()))
-    return best
+    return pairwise_minimum(words, lambda a, b: (a != b).sum(axis=-1))
 
 
 def is_perfect(code: BlockCode) -> tuple[bool, str]:
@@ -238,33 +229,13 @@ def decode_within_1(code: BlockCode, word: Point) -> Point | None:
 
 def write_code(code: BlockCode, path: str | Path) -> None:
     """Write a CODE v1 file (line-oriented ASCII, codewords sorted)."""
-    lines = ["CODE v1", f"q {code.q}", f"n {code.length}", f"count {len(code.codewords)}"]
-    for w in sorted(code.codewords):
-        lines.append(" ".join(str(s) for s in w))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    header = {"q": code.q, "n": code.length, "count": len(code.codewords)}
+    _fileformat.write(path, "CODE v1", header, sorted(code.codewords))
 
 
 def read_code(path: str | Path) -> BlockCode:
     """Parse a CODE v1 file."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    try:
-        if lines[0] != "CODE v1":
-            raise CodeFormatError(f"bad header {lines[0]!r}")
-        q = int(lines[1].removeprefix("q "))
-        n = int(lines[2].removeprefix("n "))
-        count = int(lines[3].removeprefix("count "))
-        words = []
-        for line in lines[4 : 4 + count]:
-            w = tuple(int(s) for s in line.split())
-            words.append(w)
-        if len(words) != count:
-            raise CodeFormatError(f"expected {count} codewords, got {len(words)}")
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, CodeFormatError):
-            raise
-        raise CodeFormatError(f"malformed CODE file {path}: {exc}") from exc
-    try:
-        return BlockCode(q=q, length=n, codewords=tuple(words))
-    except ValueError as exc:
-        raise CodeFormatError(str(exc)) from exc
+    return _fileformat.read(
+        path, "CODE v1", ("q", "n", "count"), CodeFormatError,
+        lambda q, n, _, words: BlockCode(q=q, length=n, codewords=words),
+    )

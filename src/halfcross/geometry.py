@@ -8,14 +8,19 @@ returned by :func:`upsilon_offsets`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 Point = tuple[int, ...]
 
 #: offset entries that count as "exceptional" (at most one per offset vector)
 _EXCEPTIONAL = (-1, 2)
+#: pairwise minima compare row blocks against all k rows, about this many pairs at once
+_PAIR_CHUNK = 2_000_000
 
 
 class DimensionMismatch(ValueError):
@@ -70,6 +75,47 @@ def torus_cross_distance(x: Point, y: Point, p: int) -> int:
         d = min(d, p - d)
         total += max(0, d - 1)
     return total
+
+
+def pairwise_minimum(
+    words: np.ndarray, distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> int:
+    """Minimum of ``distance`` over pairs of distinct rows of the k x n array words.
+
+    ``distance(a, b)`` maps broadcast row arrays of shape (..., n) to integer
+    distances of shape (...).  A block of rows is compared against all rows
+    at once, with each row's distance to itself masked out.  Raises
+    ValueError for fewer than two rows.
+    """
+    k = len(words)
+    if k < 2:
+        raise ValueError(f"pairwise minimum needs at least 2 words, got {k}")
+    best = None
+    chunk = max(1, _PAIR_CHUNK // k)
+    for lo in range(0, k, chunk):
+        d = distance(words[lo : lo + chunk, None, :], words[None, :, :])
+        rows = np.arange(d.shape[0])
+        d[rows, lo + rows] = np.iinfo(d.dtype).max
+        m = int(d.min())
+        best = m if best is None else min(best, m)
+    return best
+
+
+def index_to_point(idx: int, n: int, p: int) -> Point:
+    """The cell of (Z_p)^n with mixed-radix index idx, coordinate 1 fastest."""
+    coords = []
+    for _ in range(n):
+        coords.append(idx % p)
+        idx //= p
+    return tuple(coords)
+
+
+def point_to_index(x: Point, p: int) -> int:
+    """Inverse of :func:`index_to_point` for a cell with entries in 0..p-1."""
+    idx = 0
+    for v in reversed(x):
+        idx = idx * p + v
+    return idx
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,16 @@ deliberately avoided because these quantities feed certificates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from . import _fileformat
 from .geometry import Point
 
 
-class LatticeFormatError(ValueError):
+class LatticeFormatError(_fileformat.FormatError):
     """A LATTICE v1 file failed to parse."""
 
 
@@ -25,6 +27,8 @@ class IntegerLattice:
     generator: tuple[Point, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
         if len(self.generator) != self.n or any(
             len(r) != self.n for r in self.generator
         ):
@@ -126,8 +130,12 @@ def window(lattice: IntegerLattice, p: int) -> set[Point]:
     return _subgroup(gens, n, p)
 
 
-def _subgroup(gens: list[Point], n: int, p: int) -> set[Point]:
-    # Closure of an abelian generating set inside (Z_p)^n.
+def _subgroup(
+    gens: Sequence[Point], n: int, p: int, within: set[Point] | None = None
+) -> set[Point] | None:
+    # Closure of an abelian generating set inside (Z_p)^n.  With ``within``,
+    # None as soon as the closure leaves that set, so a non-subgroup never
+    # grows toward p^n; the scan stops once the closure fills it.
     zero = (0,) * n
     group: set[Point] = {zero}
     for g in gens:
@@ -142,6 +150,11 @@ def _subgroup(gens: list[Point], n: int, p: int) -> set[Point]:
         for r in reps:
             extended.update(tuple((a + b) % p for a, b in zip(h, r)) for h in group)
         group = extended
+        if within is not None:
+            if not group <= within:
+                return None
+            if len(group) == len(within):
+                break
     return group
 
 
@@ -157,59 +170,30 @@ def is_lattice_tiling(tiling) -> bool:
     """
     p, n = tiling.p, tiling.n
     target = set(tiling.codewords)
-    zero = (0,) * n
-    if zero not in target:
+    if (0,) * n not in target:
         return False
-    group: set[Point] = {zero}
-    for g in sorted(target):
-        if g in group:
-            continue
-        reps = []
-        cur = g
-        while cur not in group:
-            reps.append(cur)
-            cur = tuple((a + b) % p for a, b in zip(cur, g))
-        extended = set(group)
-        for r in reps:
-            extended.update(tuple((a + b) % p for a, b in zip(h, r)) for h in group)
-        group = extended
-        if not group <= target:
-            return False
-        if len(group) == len(target):
-            break
-    ok = group == target
-    if ok:
-        # a lattice tiling's volume equals the shape size
-        shape_size = 2**n * (n + 1)
-        if p**n != len(target) * shape_size:
-            raise ValueError(
-                f"not a tiling: {len(target)} codewords of {shape_size} cells "
-                f"do not fill {p}^{n} = {p**n} cells"
-            )
-    return ok
+    # every codeword is a generator, so a closure that stays inside the
+    # target ends equal to it
+    if _subgroup(tiling.codewords, n, p, within=target) is None:
+        return False
+    # a lattice tiling's volume equals the shape size
+    shape_size = 2**n * (n + 1)
+    if p**n != len(target) * shape_size:
+        raise ValueError(
+            f"not a tiling: {len(target)} codewords of {shape_size} cells "
+            f"do not fill {p}^{n} = {p**n} cells"
+        )
+    return True
 
 
 def write_lattice(lattice: IntegerLattice, path: str | Path) -> None:
     """Write a LATTICE v1 file."""
-    lines = ["LATTICE v1", f"n {lattice.n}"]
-    for row in lattice.generator:
-        lines.append(" ".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _fileformat.write(path, "LATTICE v1", {"n": lattice.n}, lattice.generator)
 
 
 def read_lattice(path: str | Path) -> IntegerLattice:
     """Parse a LATTICE v1 file."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    try:
-        if lines[0] != "LATTICE v1":
-            raise LatticeFormatError(f"bad header {lines[0]!r}")
-        n = int(lines[1].removeprefix("n "))
-        rows = tuple(tuple(int(v) for v in lines[2 + i].split()) for i in range(n))
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, LatticeFormatError):
-            raise
-        raise LatticeFormatError(f"malformed LATTICE file {path}: {exc}") from exc
-    try:
-        return IntegerLattice(n=n, generator=rows)
-    except ValueError as exc:
-        raise LatticeFormatError(str(exc)) from exc
+    return _fileformat.read(
+        path, "LATTICE v1", ("n",), LatticeFormatError,
+        lambda n, rows: IntegerLattice(n=n, generator=rows),
+    )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, upsilon_offsets
+from .geometry import Point, index_to_point, point_to_index, upsilon_offsets
 from .tiling import PeriodicTiling
 
 #: search is refused above this window size; use the constructions instead
@@ -25,6 +25,8 @@ class SearchConfig:
     node_budget: int = 10**7
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.p < 4:
             raise ValueError(f"period must be >= 4, got {self.p}")
         if self.p**self.n > MAX_SEARCH_CELLS:
@@ -69,26 +71,13 @@ def search_tilings(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats
     shape = upsilon_offsets(n)
     tiles_needed = total // len(shape)
 
-    def cell_index(pt: Point) -> int:
-        idx = 0
-        for v in reversed(pt):
-            idx = idx * p + v
-        return idx
-
-    def cell_point(idx: int) -> Point:
-        coords = []
-        for _ in range(n):
-            coords.append(idx % p)
-            idx //= p
-        return tuple(coords)
-
     cells_cache: dict[Point, list[int]] = {}
 
     def cells_of(x: Point) -> list[int]:
         got = cells_cache.get(x)
         if got is None:
             got = [
-                cell_index(tuple((xi - di) % p for xi, di in zip(x, off)))
+                point_to_index(tuple((xi - di) % p for xi, di in zip(x, off)), p)
                 for off in shape.offsets
             ]
             cells_cache[x] = got
@@ -123,7 +112,7 @@ def search_tilings(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats
             stats.solutions += 1
             return
         lowest = covered.find(0)
-        a = cell_point(lowest)
+        a = index_to_point(lowest, n, p)
         candidates = sorted(
             {tuple((ai + di) % p for ai, di in zip(a, off)) for off in shape.offsets}
         )

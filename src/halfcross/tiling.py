@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Point, torus_covers, torus_cross_distance
+from . import _fileformat
+from .geometry import Point, index_to_point, pairwise_minimum, torus_covers
 
 #: default ceiling on window size p^n (the 12^8 case, criterion scale)
 DEFAULT_CELL_BUDGET = 12**8
@@ -36,7 +37,7 @@ class CellBudgetExceeded(ValueError):
     """The window p^n is larger than the configured cell budget."""
 
 
-class TilingFormatError(ValueError):
+class TilingFormatError(_fileformat.FormatError):
     """A TILING v1 file failed to parse."""
 
 
@@ -163,15 +164,6 @@ class AuditReport:
         }
 
 
-def _index_to_point(idx: int, n: int, p: int) -> Point:
-    # mixed-radix little-endian: coordinate 1 varies fastest
-    coords = []
-    for _ in range(n):
-        coords.append(idx % p)
-        idx //= p
-    return tuple(coords)
-
-
 def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
     """T[i, j, x] = ((xs[x, i] - _ENTRIES[j]) mod p) * p^i.
 
@@ -291,7 +283,7 @@ def verify(
 
     first_witness = None
     if witness_idx is not None:
-        cell = _index_to_point(witness_idx, n, p)
+        cell = index_to_point(witness_idx, n, p)
         covering = tuple(
             w for w in tiling.codewords if torus_covers(w, cell, p)
         )
@@ -313,22 +305,10 @@ def verify(
 
 def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
     p = tiling.p
-    cw = np.array(tiling.codewords, dtype=np.int64)
-    k = cw.shape[0]
-    if k < 2:
-        raise ValueError(f"min cross distance needs two codewords, got {k}")
-    best = None
-    chunk = max(1, 2_000_000 // k)
-    for lo in range(0, k, chunk):
-        block = cw[lo : lo + chunk]
-        d = np.abs(block[:, None, :] - cw[None, :, :]) % p
-        d = np.minimum(d, p - d)
-        d = np.maximum(d - 1, 0).sum(axis=2)
-        for i in range(block.shape[0]):
-            d[i, lo + i] = np.iinfo(d.dtype).max
-        m = int(d.min())
-        best = m if best is None else min(best, m)
-    return best
+    return pairwise_minimum(
+        np.array(tiling.codewords, dtype=np.int64),
+        lambda a, b: np.maximum(np.minimum((a - b) % p, (b - a) % p) - 1, 0).sum(axis=-1),
+    )
 
 
 def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
@@ -546,7 +526,7 @@ def structural_audit(
             f"|F2| = {len(f2_sorted)} <= {bound}",
         )
 
-    forced = 4 if n % 2 == 1 else 12
+    forced = nonexistence_certificate(n).forced_period
     if p % forced == 0:
         check(
             f"forced-period-{forced}",
@@ -573,36 +553,13 @@ def structural_audit(
 
 def write_tiling(tiling: PeriodicTiling, path: str | Path) -> None:
     """Write a TILING v1 file (codewords sorted lexicographically)."""
-    lines = [
-        "TILING v1",
-        f"n {tiling.n}",
-        f"p {tiling.p}",
-        f"count {len(tiling.codewords)}",
-    ]
-    for w in sorted(tiling.codewords):
-        lines.append(" ".join(str(v) for v in w))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    header = {"n": tiling.n, "p": tiling.p, "count": len(tiling.codewords)}
+    _fileformat.write(path, "TILING v1", header, sorted(tiling.codewords))
 
 
 def read_tiling(path: str | Path) -> PeriodicTiling:
     """Parse a TILING v1 file."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    try:
-        if lines[0] != "TILING v1":
-            raise TilingFormatError(f"bad header {lines[0]!r}")
-        n = int(lines[1].removeprefix("n "))
-        p = int(lines[2].removeprefix("p "))
-        count = int(lines[3].removeprefix("count "))
-        if count < 0:
-            raise TilingFormatError(f"count must be >= 0, got {count}")
-        if len(lines) != 4 + count:
-            raise TilingFormatError(f"expected {count} codewords, got {len(lines) - 4}")
-        words = [tuple(int(v) for v in line.split()) for line in lines[4:]]
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, TilingFormatError):
-            raise
-        raise TilingFormatError(f"malformed TILING file {path}: {exc}") from exc
-    try:
-        return PeriodicTiling(n=n, p=p, codewords=tuple(words))
-    except ValueError as exc:
-        raise TilingFormatError(str(exc)) from exc
+    return _fileformat.read(
+        path, "TILING v1", ("n", "p", "count"), TilingFormatError,
+        lambda n, p, _, words: PeriodicTiling(n=n, p=p, codewords=words),
+    )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from halfcross import codes, constructions
 from halfcross.cli import (
     EXIT_BUDGET,
     EXIT_NEGATIVE,
@@ -146,6 +147,27 @@ def test_exist_admissible(tmp_path, capsys):
     assert witness.n == 7 and witness.p == 4
 
 
+@pytest.mark.parametrize(
+    "n, line",
+    [
+        (15, "witness: construction gives 2048 codewords over Z_4^15; "),
+        (26, "witness: construction gives 6317841784428822528 codewords over Z_12^26; "),
+        (31, "witness: construction gives 67108864 codewords over Z_4^31; "),
+    ],
+)
+def test_exist_checks_window_before_building(monkeypatch, capsys, n, line):
+    def refuse(*_):
+        raise RuntimeError("built a witness whose window is over budget")
+
+    for module, name in ((codes, "binary_hamming"), (codes, "ternary_hamming"),
+                         (constructions, "from_binary_perfect"),
+                         (constructions, "from_ternary_perfect")):
+        monkeypatch.setattr(module, name, refuse)
+    code, stdout, _ = run(capsys, "exist", "--n", str(n))
+    assert code == EXIT_OK
+    assert stdout.endswith(line + "window too large to verify here\n")
+
+
 def test_exist_inadmissible(capsys):
     code, stdout, _ = run(capsys, "exist", "--n", "5")
     assert code == EXIT_NEGATIVE
@@ -217,9 +239,31 @@ def test_svg_document_structure():
         svg_document(PeriodicTiling(n=1, p=4, codewords=((0,),)))
 
 
-def test_threads_flag_output_identical(tmp_path, capsys):
-    path = tmp_path / "l2.tiling"
-    write_tiling(PeriodicTiling(n=2, p=12, codewords=LAMBDA2_WORDS), path)
-    _, out1, _ = run(capsys, "verify", "--tiling", str(path))
-    _, out2, _ = run(capsys, "--threads", "1", "verify", "--tiling", str(path))
-    assert out1 == out2
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("export-svg", "--tiling", "{big}", "--out", "{tmp}/big.svg"), EXIT_BUDGET),
+        (("verify", "--tiling", "{tmp}/missing.tiling"), EXIT_USAGE),
+        (("build-tiling", "--method", "binary", "--code", "{tmp}/missing.code",
+          "--out", "{tmp}/x.tiling"), EXIT_USAGE),
+        (("locate", "--tiling-method", "binary", "--code", "{code}",
+          "--point", "1 x 0 0 0 0 0"), EXIT_USAGE),
+        (("search", "--n", "0", "--p", "12"), EXIT_USAGE),
+        (("search", "--n", "-1", "--p", "12"), EXIT_USAGE),
+        (("exist", "--n", "0"), EXIT_USAGE),
+        (("verify", "--tiling", "{latin1}"), EXIT_USAGE),
+    ],
+    ids=["svg-over-budget", "missing-tiling", "missing-code", "bad-point",
+         "search-n0", "search-n-1", "exist-n0", "non-ascii"],
+)
+def test_cli_errors_exit_without_traceback(tmp_path, capsys, argv, exit_code):
+    big = tmp_path / "big.tiling"
+    big.write_text("TILING v1\nn 2\np 30000\ncount 0\n")
+    latin1 = tmp_path / "latin1.tiling"
+    latin1.write_bytes("TILING v1\nn 1\np 4\ncount 1\n0\u00e9\n".encode("latin-1"))
+    code_path = tmp_path / "h3.code"
+    run(capsys, "gen-code", "--base", "2", "--t", "3", "--out", str(code_path))
+    names = {"tmp": tmp_path, "big": big, "code": code_path, "latin1": latin1}
+    code, _, err = run(capsys, *(a.format(**names) for a in argv))
+    assert code == exit_code
+    assert err.startswith("error: ")

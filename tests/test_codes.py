@@ -179,12 +179,17 @@ def test_code_file_bytes_frozen(tmp_path):
 
 def test_code_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.code"
-    path.write_text("CODE v2\n")
-    with pytest.raises(CodeFormatError):
-        read_code(path)
-    path.write_text("CODE v1\nq 2\nn 3\ncount 2\n0 0 0\n")
-    with pytest.raises(CodeFormatError):
-        read_code(path)
+    for text in (
+        "CODE v2\n",
+        "CODE v1\nq 2\nn 3\ncount 2\n0 0 0\n",
+        "CODE v1\nq 2\nn 3\ncount 1\n0 0 0\n1 1 1\nrubbish\n",  # trailing lines
+        "CODE v1\n2\n3\n1\n0 0 0\n",  # header values without their keys
+        "CODE v1\nq 2\nn 0\ncount 0\n",
+        "CODE v1\nq 2\nn 1\ncount 1\n0\u00e9\n",  # not ASCII
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CodeFormatError):
+            read_code(path)
 
 
 def test_block_code_validation():

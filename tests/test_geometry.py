@@ -1,20 +1,26 @@
 """Shape and distance tests, checked against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 
+from halfcross import geometry
+from halfcross.codes import BlockCode, min_hamming_distance
 from halfcross.geometry import (
     DimensionMismatch,
     covers,
     cross_distance,
     cross_weight,
     hamming_distance,
+    index_to_point,
     manhattan_distance,
+    point_to_index,
     torus_covers,
     torus_cross_distance,
     upsilon_offsets,
 )
+from halfcross.tiling import PeriodicTiling, _min_torus_cross_distance
 
 
 def shape_cells_oracle(n):
@@ -147,3 +153,47 @@ def test_dimension_mismatch():
         hamming_distance((0, 1), (0, 1, 2))
     with pytest.raises(DimensionMismatch):
         cross_distance((0,), (0, 0))
+
+
+def test_pairwise_minimum_matches_per_pair_loop(monkeypatch):
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 20)  # ten rows make five blocks
+    rng = random.Random(20)
+    for _ in range(60):
+        n, k = rng.randint(1, 5), rng.randint(2, 10)
+        q, p = rng.choice((2, 3)), rng.randint(4, 9)
+        words = list({tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)})
+        if len(words) >= 2:
+            want = min(hamming_distance(a, b) for a, b in itertools.combinations(words, 2))
+            code = BlockCode(q=q, length=n, codewords=tuple(words))
+            assert min_hamming_distance(code) == want
+        cells = list({tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)})
+        if len(cells) >= 2:
+            want = min(
+                torus_cross_distance(a, b, p) for a, b in itertools.combinations(cells, 2)
+            )
+            tiling = PeriodicTiling(n=n, p=p, codewords=tuple(cells))
+            assert _min_torus_cross_distance(tiling) == want
+
+
+def test_pairwise_minimum_close_pair_straddles_chunks(monkeypatch):
+    # six rows in blocks of two; the only pair at distance 1 is rows 1 and 2
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 12)
+    words = (
+        (0, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 1),
+        (0, 0, 0, 1, 1, 1), (1, 1, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1),
+    )
+    close = [(i, j) for (i, a), (j, b) in itertools.combinations(enumerate(words), 2)
+             if hamming_distance(a, b) == 1]
+    assert close == [(1, 2)]
+    assert min_hamming_distance(BlockCode(q=2, length=6, codewords=words)) == 1
+
+
+def test_index_point_round_trip():
+    rng = random.Random(21)
+    for _ in range(300):
+        n, p = rng.randint(1, 5), rng.randint(1, 13)
+        idx = rng.randrange(p**n)
+        x = index_to_point(idx, n, p)
+        assert len(x) == n and all(0 <= v < p for v in x)
+        assert sum(v * p**i for i, v in enumerate(x)) == idx  # coordinate 1 fastest
+        assert point_to_index(x, p) == idx

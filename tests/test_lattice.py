@@ -147,6 +147,13 @@ def test_lattice_file_rejects_garbage(tmp_path):
     path.write_text("LATTICE v1\nn 2\n1 2\n2 4\n")
     with pytest.raises(LatticeFormatError):
         read_lattice(path)  # dependent rows
-    path.write_text("nope\n")
-    with pytest.raises(LatticeFormatError):
-        read_lattice(path)
+    for text in (
+        "nope\n",
+        "LATTICE v1\nn 1\n4\n4\n",  # trailing line
+        "LATTICE v1\n1\n4\n",  # header value without its key
+        "LATTICE v1\nn 0\n",
+        "LATTICE v1\nn 1\n4\u00e9\n",  # not ASCII
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LatticeFormatError):
+            read_lattice(path)

@@ -336,8 +336,12 @@ def test_tiling_file_rejects_garbage(tmp_path):
         "TILING v1\nn -3\np 12\ncount 0\n",
         "TILING v1\nn 0\np 12\ncount 0\n",
         "TILING v1\nn 2\np 12\ncount -1\n",
+        "TILING v1\n1\n4\n1\n0\n",
+        "TILING v1\nn 1\nq 4\ncount 1\n0\n",
+        "TILING v1\nn 1\np 4\ncount 1\n0\u00e9\n",
     ],
-    ids=["trailing-lines", "negative-n", "zero-n", "negative-count"],
+    ids=["trailing-lines", "negative-n", "zero-n", "negative-count", "missing-keys",
+         "wrong-key", "non-ascii"],
 )
 def test_tiling_file_strict_header_and_count(tmp_path, text):
     path = tmp_path / "bad.tiling"
