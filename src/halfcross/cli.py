@@ -64,7 +64,9 @@ def cmd_gen_code(args) -> int:
         return _error(exc, EXIT_USAGE)
     codes.write_code(code, args.out)
     ok, _ = codes.is_perfect(code)
-    dist = codes.min_hamming_distance(code) if len(code) >= 2 else "n/a"
+    # generated Hamming codes are linear, so the minimum distance is the
+    # least weight of a nonzero codeword: one pass, not all pairs
+    dist = min((sum(map(bool, w)) for w in code.codewords if any(w)), default="n/a")
     print(f"size: {len(code)}")
     print(f"length: {code.length}")
     print(f"min_distance: {dist}")
@@ -136,15 +138,15 @@ def cmd_exist(args) -> int:
     except ValueError as exc:
         return _error(exc, EXIT_USAGE)
     cert = tiling.nonexistence_certificate(n)
+    # numbers past Python's digit limit print in power form
+    forced = cert.forced_period
+    shape = tiling.int_text(cert.shape_size, f"2^{n}*{n + 1}")
+    window = tiling.int_text(cert.window_size, f"{forced}^{n}")
     if not adm.admissible:
         print(f"n: {n}")
         print("admissible: no")
         print(f"certificate: {cert.conclusion}")
-        short = (
-            f"no tiling: forced period {cert.forced_period}, "
-            f"{cert.shape_size} does not divide {cert.window_size}"
-        )
-        print(short)
+        print(f"no tiling: forced period {forced}, {shape} does not divide {window}")
         return EXIT_NEGATIVE
     print(f"n: {n}")
     print(f"admissible: yes (n = {adm.base}^{adm.t} - 1)")
@@ -152,8 +154,9 @@ def cmd_exist(args) -> int:
     # the construction's window is the forced one; build a witness only
     # when that window fits the verification budget
     if cert.window_size > tiling.DEFAULT_CELL_BUDGET:
-        print(f"witness: construction gives {cert.window_size // cert.shape_size} "
-              f"codewords over Z_{cert.forced_period}^{n}; window too large to verify here")
+        count = tiling.int_text(cert.window_size // cert.shape_size, f"{window}/({shape})")
+        print(f"witness: construction gives {count} "
+              f"codewords over Z_{forced}^{n}; window too large to verify here")
         return EXIT_OK
     if adm.base == 2:
         witness = constructions.from_binary_perfect(codes.binary_hamming(adm.t))

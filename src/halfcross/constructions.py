@@ -10,8 +10,6 @@ ternary locator is embedded as literal data and re-validated on import.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from . import lattice as lat
@@ -59,27 +57,27 @@ def _validate_class_table() -> None:
     all_pairs = {(a, b) for a in range(3) for b in range(4)}
     listed = [p for pairs in CLASSES.values() for p in pairs]
     if sorted(listed) != sorted(all_pairs) or len(listed) != 12:
-        raise AssertionError("classes do not partition Z~3 x Z~4")
+        raise RuntimeError("classes do not partition Z~3 x Z~4")
     for rep, pairs in CLASSES.items():
         if rep not in pairs:
-            raise AssertionError(f"class representative {rep} not in its class")
+            raise RuntimeError(f"class representative {rep} not in its class")
     if set(ADJUST) != all_pairs:
-        raise AssertionError("adjust table does not cover all 12 pairs")
+        raise RuntimeError("adjust table does not cover all 12 pairs")
     for x, row in ADJUST.items():
         for rep, v in row.items():
             diff = (v[0] - x[0], v[1] - x[1])
             if any(d < -1 or d > 2 for d in diff):
-                raise AssertionError(f"adjust[{x}][{rep}] = {v} breaks the offset range")
+                raise RuntimeError(f"adjust[{x}][{rep}] = {v} breaks the offset range")
             exceptional = sum(1 for d in diff if d in (-1, 2))
             if exceptional > 1:
-                raise AssertionError(f"adjust[{x}][{rep}] = {v} has two exceptional shifts")
+                raise RuntimeError(f"adjust[{x}][{rep}] = {v} has two exceptional shifts")
             if _CLASS_OF[x] == rep and any(d not in (0, 1) for d in diff):
-                raise AssertionError(
+                raise RuntimeError(
                     f"adjust[{x}][{rep}] = {v} must shift by 0/1 within its own class"
                 )
             u = (v[0] - rep[0], v[1] - rep[1])
             if not lat.contains(_LAMBDA2, u):
-                raise AssertionError(f"adjust[{x}][{rep}] = {v}: {u} is not a lattice point")
+                raise RuntimeError(f"adjust[{x}][{rep}] = {v}: {u} is not a lattice point")
 
 
 def phi(symbol: int) -> tuple[int, int]:
@@ -187,38 +185,22 @@ def punctured_construction(code: BlockCode) -> PeriodicTiling:
     return PeriodicTiling(n=code.length, p=4, codewords=tuple(words))
 
 
-def lambda_window_points(nu: int) -> list[Point]:
-    """Sorted window of the ternary-construction lattice mod 12 (12^nu points)."""
-    pair_window = sorted(
-        ((3 * a) % 12, (2 * a + 4 * b) % 12) for a in range(4) for b in range(3)
-    )
-    points = []
-    for combo in product(pair_window, repeat=nu):
-        flat: list[int] = []
-        for pair in combo:
-            flat.extend(pair)
-        points.append(tuple(flat))
-    points.sort()
-    return points
-
-
 def from_ternary_perfect(code: BlockCode) -> PeriodicTiling:
     """Tiling of (Z_12)^{2 nu} from a ternary perfect code of length nu.
 
     Codewords are the embedded code translated by the full lattice window;
-    the count 2^{2 nu} 3^{2 nu - t} is asserted (the embedding plus lattice
+    the count 2^{2 nu} 3^{2 nu - t} is checked (the embedding plus lattice
     sum has no collisions).
     """
     _require_perfect(code, 3)
     nu = code.length
     embedded = np.array([phi_word(w) for w in code.codewords], dtype=np.int64)
-    lam = np.array(lambda_window_points(nu), dtype=np.int64)
-    all_words = (embedded[:, None, :] + lam[None, :, :]) % 12
-    all_words = all_words.reshape(-1, 2 * nu)
+    lam = np.array(sorted(lat.window(lat.lambda_lattice(nu), 12)), dtype=np.int64)
+    all_words = ((embedded[:, None, :] + lam[None, :, :]) % 12).reshape(-1, 2 * nu)
     words = sorted(map(tuple, all_words.tolist()))
     expected = len(code.codewords) * 12**nu
     if len(set(words)) != expected:
-        raise AssertionError("collision in embedded code + lattice window")
+        raise RuntimeError("collision in embedded code + lattice window")
     return PeriodicTiling(n=2 * nu, p=12, codewords=tuple(words))
 
 
@@ -266,7 +248,7 @@ def locate_tile_binary(a: Point, code: BlockCode) -> Point:
             x.append(lo + ((2 * ci - lo) % 4))
         if covers(tuple(x), a):
             return tuple(x)
-    raise AssertionError("no codeword covers the point; code is not perfect?")
+    raise RuntimeError("no codeword covers the point; code is not perfect?")
 
 
 _validate_class_table()

@@ -1,6 +1,7 @@
 """Integer lattices: exact volumes, membership, the ternary-construction lattice.
 
-All arithmetic here is exact (Python ints / Fractions); floating point is
+Every lattice question (rank, volume, membership, p-periodicity) is answered
+by one row Hermite normal form in exact Python ints; floating point is
 deliberately avoided because these quantities feed certificates.
 """
 
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from . import _fileformat
@@ -29,43 +30,55 @@ class IntegerLattice:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if len(self.generator) != self.n or any(
-            len(r) != self.n for r in self.generator
-        ):
+        if len(self.generator) != self.n or any(len(r) != self.n for r in self.generator):
             raise ValueError(f"generator must be {self.n}x{self.n}")
-        if _det(self.generator) == 0:
+        if _hnf(self.generator) is None:
             raise ValueError("generator rows are linearly dependent")
 
 
-def _det(rows: tuple[Point, ...]) -> int:
-    # Bareiss fraction-free elimination; exact for integer matrices.
+def _hnf(rows: Sequence[Point]) -> list[list[int]] | None:
+    """Row Hermite normal form of a square integer matrix, None below full rank.
+
+    Upper triangular with positive pivots, each entry above a pivot reduced
+    into [0, pivot); the rows span the same lattice as ``rows``.  Per column,
+    Euclid on the rows from the pivot down leaves one nonzero entry, which
+    then reduces the rows above it.
+    """
     n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    h = [list(r) for r in rows]
+    for k in range(n):
+        while True:
+            live = [r for r in range(k, n) if h[r][k] != 0]
+            if not live:
+                return None
+            piv = min(live, key=lambda r: abs(h[r][k]))
+            h[k], h[piv] = h[piv], h[k]
+            if len(live) == 1:
+                break
             for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                q = h[r][k] // h[k][k]
+                h[r] = [a - q * b for a, b in zip(h[r], h[k])]
+        if h[k][k] < 0:
+            h[k] = [-v for v in h[k]]
+        for r in range(k):
+            q = h[r][k] // h[k][k]
+            h[r] = [a - q * b for a, b in zip(h[r], h[k])]
+    return h
+
+
+def _reduce(hnf: list[list[int]], x: Point) -> list[int]:
+    """x minus the lattice vector that brings entry k into [0, hnf[k][k]);
+    all zero exactly when x lies in the lattice of hnf."""
+    x = list(x)
+    for k, row in enumerate(hnf):
+        q = x[k] // row[k]
+        x = [a - q * b for a, b in zip(x, row)]
+    return x
 
 
 def volume(lattice: IntegerLattice) -> int:
     """|det G|, the number of cosets of the lattice in Z^n."""
-    d = _det(lattice.generator)
-    if d == 0:
-        raise ValueError("singular generator matrix")
-    return abs(d)
+    return prod(row[k] for k, row in enumerate(_hnf(lattice.generator)))
 
 
 def lambda_lattice(nu: int) -> IntegerLattice:
@@ -76,42 +89,19 @@ def lambda_lattice(nu: int) -> IntegerLattice:
     """
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    n = 2 * nu
-    rows = []
-    for i in range(nu):
-        a = [0] * n
-        a[2 * i] = 3
-        a[2 * i + 1] = 2
-        rows.append(tuple(a))
-        b = [0] * n
-        b[2 * i + 1] = 4
-        rows.append(tuple(b))
-    return IntegerLattice(n=n, generator=tuple(rows))
+    rows = tuple(
+        (0,) * (2 * i) + pair + (0,) * (2 * (nu - 1 - i))
+        for i in range(nu)
+        for pair in ((3, 2), (0, 4))
+    )
+    return IntegerLattice(n=2 * nu, generator=rows)
 
 
 def contains(lattice: IntegerLattice, x: Point) -> bool:
-    """True iff x is an integer combination of the generator rows.
-
-    Solves u G = x exactly over the rationals and checks integrality.
-    """
-    n = lattice.n
-    if len(x) != n:
-        raise ValueError(f"point length {len(x)} != lattice dimension {n}")
-    # Augmented system G^T u^T = x^T solved by exact Gaussian elimination.
-    a = [[Fraction(lattice.generator[c][r]) for c in range(n)] + [Fraction(x[r])]
-         for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular generator matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return all(a[r][n].denominator == 1 for r in range(n))
+    """True iff x is an integer combination of the generator rows."""
+    if len(x) != lattice.n:
+        raise ValueError(f"point length {len(x)} != lattice dimension {lattice.n}")
+    return not any(_reduce(_hnf(lattice.generator), x))
 
 
 def window(lattice: IntegerLattice, p: int) -> set[Point]:
@@ -122,9 +112,9 @@ def window(lattice: IntegerLattice, p: int) -> set[Point]:
     of size p^n / volume.
     """
     n = lattice.n
+    hnf = _hnf(lattice.generator)
     for i in range(n):
-        e = tuple(p if j == i else 0 for j in range(n))
-        if not contains(lattice, e):
+        if any(_reduce(hnf, tuple(p if j == i else 0 for j in range(n)))):
             raise ValueError(f"lattice is not {p}-periodic (missing {p}*e_{i + 1})")
     gens = [tuple(v % p for v in row) for row in lattice.generator]
     return _subgroup(gens, n, p)

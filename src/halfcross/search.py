@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import Point, index_to_point, point_to_index, upsilon_offsets
-from .tiling import PeriodicTiling
+from .tiling import PeriodicTiling, window_exceeds
 
 #: search is refused above this window size; use the constructions instead
 MAX_SEARCH_CELLS = 10**6
@@ -29,7 +29,7 @@ class SearchConfig:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.p < 4:
             raise ValueError(f"period must be >= 4, got {self.p}")
-        if self.p**self.n > MAX_SEARCH_CELLS:
+        if window_exceeds(self.p, self.n, MAX_SEARCH_CELLS):
             raise ValueError(
                 f"window {self.p}^{self.n} exceeds search scale "
                 f"{MAX_SEARCH_CELLS}; use the constructions plus verify"

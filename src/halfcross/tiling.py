@@ -13,6 +13,8 @@ place the sorted marks leave the range 0, 1, ... names the lowest bad cell.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +41,27 @@ class CellBudgetExceeded(ValueError):
 
 class TilingFormatError(_fileformat.FormatError):
     """A TILING v1 file failed to parse."""
+
+
+def window_exceeds(p: int, n: int, limit: int) -> bool:
+    """Whether p^n > limit (p >= 2); a huge n is refused without building p^n."""
+    return n >= limit.bit_length() or p**n > limit
+
+
+def int_text(value: int, form: str) -> str:
+    """Decimal digits of value, or ``form`` past Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return form
+
+
+def power_text(p: int, n: int) -> str:
+    """"p^n = <digits>", or "p^n" past the digit limit (then p^n is not built
+    when n log10 p shows it; the cap is Python's default where the limit is off)."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    digits = int_text(p**n, "") if n * math.log10(p) <= cap + 1 else ""
+    return f"{p}^{n} = {digits}" if digits else f"{p}^{n}"
 
 
 @dataclass(frozen=True)
@@ -237,9 +260,9 @@ def verify(
     budget.
     """
     n, p = tiling.n, tiling.p
+    if window_exceeds(p, n, cell_budget):
+        raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
     total = p**n
-    if total > cell_budget:
-        raise CellBudgetExceeded(f"window {p}^{n} = {total} exceeds budget {cell_budget}")
     shard_size = total // p
     dtype = np.int32 if shard_size < 2**31 else np.int64
     k = len(tiling.codewords)
@@ -383,15 +406,16 @@ def nonexistence_certificate(n: int) -> NonexistenceCertificate:
     shape_size = 2**n * (n + 1)
     window_size = forced**n
     divides = window_size % shape_size == 0
+    shape = int_text(shape_size, f"2^{n}*{n + 1}")
     if divides:
         conclusion = (
-            f"inconclusive: {shape_size} divides {forced}^{n}; "
+            f"inconclusive: {shape} divides {forced}^{n}; "
             "existence is settled by construction"
         )
     else:
         conclusion = (
             f"no integer tiling: forced period {forced}, "
-            f"{shape_size} does not divide {forced}^{n} = {window_size}"
+            f"{shape} does not divide {power_text(forced, n)}"
         )
     return NonexistenceCertificate(
         n=n,

@@ -39,6 +39,24 @@ def test_gen_code_binary(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("base, t", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_gen_code_distance_without_pairwise_scan(tmp_path, capsys, monkeypatch, base, t):
+    want = (codes.binary_hamming if base == 2 else codes.ternary_hamming)(t)
+    oracle = codes.min_hamming_distance(want)
+
+    def refuse(_):
+        raise RuntimeError("gen-code compared all codeword pairs")
+
+    monkeypatch.setattr(codes, "min_hamming_distance", refuse)
+    out = tmp_path / "h.code"
+    code, stdout, _ = run(capsys, "gen-code", "--base", str(base), "--t", str(t),
+                          "--out", str(out))
+    assert code == EXIT_OK
+    assert stdout == (f"size: {len(want)}\nlength: {want.length}\n"
+                      f"min_distance: {oracle}\nperfect: yes\n")
+    assert codes.read_code(out).codewords == want.codewords
+
+
 def test_gen_code_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.code", tmp_path / "b.code"
     run(capsys, "gen-code", "--base", "3", "--t", "2", "--out", str(a))
@@ -153,6 +171,9 @@ def test_exist_admissible(tmp_path, capsys):
         (15, "witness: construction gives 2048 codewords over Z_4^15; "),
         (26, "witness: construction gives 6317841784428822528 codewords over Z_12^26; "),
         (31, "witness: construction gives 67108864 codewords over Z_4^31; "),
+        # the codeword count has more digits than Python converts
+        pytest.param(6560, f"witness: construction gives 12^6560/({2**6560 * 6561}) "
+                     "codewords over Z_12^6560; ", id="6560-count-past-digit-limit"),
     ],
 )
 def test_exist_checks_window_before_building(monkeypatch, capsys, n, line):
@@ -176,6 +197,30 @@ def test_exist_inadmissible(capsys):
     code, stdout, _ = run(capsys, "exist", "--n", "4")
     assert code == EXIT_NEGATIVE
     assert "80 does not divide 20736" in stdout
+    # 12^4000 has more digits than Python converts to text
+    code, stdout, _ = run(capsys, "exist", "--n", "4000")
+    assert code == EXIT_NEGATIVE
+    shape = 2**4000 * 4001
+    assert stdout == (
+        "n: 4000\nadmissible: no\n"
+        f"certificate: no integer tiling: forced period 12, {shape} does not divide 12^4000\n"
+        f"no tiling: forced period 12, {shape} does not divide 12^4000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, err",
+    [
+        ("9", "error: window 12^9 = 5159780352 exceeds budget 429981696\n"),
+        ("100000000", "error: window 12^100000000 exceeds budget 429981696\n"),
+    ],
+)
+def test_verify_checks_budget_before_window_size(tmp_path, capsys, n, err):
+    path = tmp_path / "empty.tiling"
+    path.write_text(f"TILING v1\nn {n}\np 12\ncount 0\n")
+    code, _, stderr = run(capsys, "verify", "--tiling", str(path))
+    assert code == EXIT_BUDGET
+    assert stderr == err
 
 
 def test_search_command(tmp_path, capsys):
@@ -252,9 +297,10 @@ def test_svg_document_structure():
         (("search", "--n", "-1", "--p", "12"), EXIT_USAGE),
         (("exist", "--n", "0"), EXIT_USAGE),
         (("verify", "--tiling", "{latin1}"), EXIT_USAGE),
+        (("search", "--n", "100000000", "--p", "12"), EXIT_USAGE),
     ],
     ids=["svg-over-budget", "missing-tiling", "missing-code", "bad-point",
-         "search-n0", "search-n-1", "exist-n0", "non-ascii"],
+         "search-n0", "search-n-1", "exist-n0", "non-ascii", "search-huge-n"],
 )
 def test_cli_errors_exit_without_traceback(tmp_path, capsys, argv, exit_code):
     big = tmp_path / "big.tiling"

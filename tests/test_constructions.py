@@ -10,7 +10,6 @@ from halfcross.codes import BlockCode, binary_hamming, is_perfect, ternary_hammi
 from halfcross.constructions import (
     from_binary_perfect,
     from_ternary_perfect,
-    lambda_window_points,
     locate_tile_binary,
     locate_tile_ternary,
     phi,
@@ -22,7 +21,7 @@ from halfcross.constructions import (
     to_binary_perfect,
 )
 from halfcross.geometry import covers
-from halfcross.lattice import is_lattice_tiling, lambda_lattice
+from halfcross.lattice import is_lattice_tiling, lambda_lattice, window
 from halfcross.tiling import PeriodicTiling, normalize, structural_audit, verify
 
 # frozen: a 16-word period-4 tiling of Z^7 recovered by the 0/1 vs 2/3 collapse
@@ -122,17 +121,10 @@ def test_reduce_to_representative_exhaustive():
         assert lat.contains(lam, y)
 
 
-def test_lambda_window_points_matches_lattice_window():
-    from halfcross.lattice import window
-
-    for nu in (1, 2):
-        assert set(lambda_window_points(nu)) == window(lambda_lattice(nu), 12)
-
-
 def test_ternary_construction_nu1():
     tiling = from_ternary_perfect(ternary_hamming(1))
     assert tiling.n == 2 and tiling.p == 12
-    assert tiling.codewords == tuple(sorted(lambda_window_points(1)))
+    assert tiling.codewords == tuple(sorted(window(lambda_lattice(1), 12)))
     report = verify(tiling)
     assert report.is_tiling and report.min_cross_distance == 3
     assert is_lattice_tiling(tiling)

@@ -1,7 +1,7 @@
 """Exact lattice arithmetic, the ternary-construction lattice, file round-trips."""
 
 import itertools
-from fractions import Fraction
+import random
 
 import pytest
 
@@ -49,6 +49,65 @@ def test_volume_matches_cofactor_oracle():
     for rows in cases:
         lat = IntegerLattice(n=len(rows), generator=rows)
         assert volume(lat) == abs(det_oracle([list(r) for r in rows]))
+
+
+def cramer_contains(rows, det, x):
+    """Membership by Cramer's rule: u_j = det(G with row j replaced by x) / det G."""
+    return all(
+        det_oracle([list(x) if i == j else list(r) for i, r in enumerate(rows)]) % det == 0
+        for j in range(len(rows))
+    )
+
+
+def test_hnf_matches_cofactor_and_cramer_oracles():
+    rng = random.Random(6)
+    full_rank = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+        det = det_oracle([list(r) for r in rows])
+        if det == 0:
+            with pytest.raises(ValueError):
+                IntegerLattice(n=n, generator=rows)
+            continue
+        full_rank += 1
+        lat = IntegerLattice(n=n, generator=rows)
+        assert volume(lat) == abs(det), rows
+        members = [
+            tuple(sum(u * r[i] for u, r in zip(us, rows)) for i in range(n))
+            for us in (tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(5))
+        ]
+        others = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(20)]
+        for x in members + others:
+            assert contains(lat, x) == cramer_contains(rows, det, x), (rows, x)
+        assert all(contains(lat, x) for x in members)
+    assert full_rank > 400
+
+
+def test_window_matches_brute_force_filter():
+    rng = random.Random(7)
+    periodic = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        p = rng.choice((4, 6))
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        det = det_oracle([list(r) for r in rows])
+        if det == 0:
+            continue
+        lat = IntegerLattice(n=n, generator=rows)
+        units = [tuple(p if j == i else 0 for j in range(n)) for i in range(n)]
+        if not all(cramer_contains(rows, det, e) for e in units):
+            with pytest.raises(ValueError):
+                window(lat, p)
+            continue
+        periodic += 1
+        want = {
+            x for x in itertools.product(range(p), repeat=n)
+            if cramer_contains(rows, det, x)
+        }
+        assert window(lat, p) == want, (rows, p)
+        assert len(want) == p**n // abs(det)
+    assert periodic > 50
 
 
 def test_singular_generator_rejected():

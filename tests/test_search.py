@@ -105,6 +105,9 @@ def test_search_scale_guard():
         SearchConfig(n=8, p=12)
     with pytest.raises(ValueError):
         SearchConfig(n=2, p=3)
+    # 12^(10^8) is never built: the dimension alone is past the scale
+    with pytest.raises(ValueError, match=r"window 12\^100000000 exceeds search scale"):
+        SearchConfig(n=10**8, p=12)
 
 
 def test_search_deterministic():

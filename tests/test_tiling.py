@@ -23,6 +23,7 @@ from halfcross.tiling import (
     spencer_bound,
     structural_audit,
     verify,
+    window_exceeds,
     write_tiling,
 )
 
@@ -186,6 +187,18 @@ def test_verify_min_distance_skipped_over_pair_budget():
 def test_verify_cell_budget():
     with pytest.raises(CellBudgetExceeded):
         verify(lambda2_tiling(), cell_budget=100)
+    with pytest.raises(CellBudgetExceeded) as exc:
+        verify(PeriodicTiling(n=9, p=12, codewords=()))
+    assert str(exc.value) == "window 12^9 = 5159780352 exceeds budget 429981696"
+    # 12^(10^8) is never built: the dimension alone is past the budget
+    with pytest.raises(CellBudgetExceeded) as exc:
+        verify(PeriodicTiling(n=10**8, p=12, codewords=()))
+    assert str(exc.value) == "window 12^100000000 exceeds budget 429981696"
+
+
+def test_window_exceeds_matches_the_power():
+    for p, n, limit in itertools.product(range(2, 14), range(0, 40), (0, 1, 100, 12**8)):
+        assert window_exceeds(p, n, limit) == (p**n > limit), (p, n, limit)
 
 
 def test_verify_n1():
@@ -254,6 +267,18 @@ def test_nonexistence_certificate_spot_values():
 
     c = nonexistence_certificate(8)
     assert c.forced_period == 12 and c.divides
+
+
+def test_certificate_past_the_int_to_str_limit():
+    # 12^4000 has 4317 digits, past the default limit of 4300
+    c = nonexistence_certificate(4000)
+    assert c.window_size == 12**4000 and not c.divides
+    assert c.conclusion == (
+        f"no integer tiling: forced period 12, {2**4000 * 4001} does not divide 12^4000"
+    )
+    assert nonexistence_certificate(5).conclusion == (
+        "no integer tiling: forced period 4, 192 does not divide 4^5 = 1024"
+    )
 
 
 def test_certificate_agrees_with_admissibility():
