@@ -101,11 +101,9 @@ def cmd_verify(args) -> int:
     audit = None
     if args.audit:
         try:
-            normalized = t
-            origin = (0,) * t.n
-            if origin not in t.codeword_set() and t.codewords:
-                normalized = tiling.normalize(t, t.codewords[0])
-            audit = tiling.structural_audit(normalized, report)
+            if len(t) and (0,) * t.n not in t:
+                t = tiling.normalize(t, t.words[0])
+            audit = tiling.structural_audit(t, report)
         except ValueError as exc:
             return _error(exc, EXIT_PRECONDITION)
     _print_report(report, args.format, audit)

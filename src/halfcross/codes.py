@@ -58,16 +58,8 @@ def _parity_check_columns(q: int, t: int, projective: bool) -> list[tuple[int, .
     # All nonzero t-vectors over Z_q in ascending numeric order (big-endian
     # digit reading); for projective=True only those whose first nonzero
     # entry is 1.
-    cols = []
-    for col in product(range(q), repeat=t):
-        if all(s == 0 for s in col):
-            continue
-        if projective:
-            first = next(s for s in col if s != 0)
-            if first != 1:
-                continue
-        cols.append(col)
-    return cols
+    cols = [col for col in product(range(q), repeat=t) if any(col)]
+    return [col for col in cols if not projective or next(s for s in col if s) == 1]
 
 
 def _null_space_codewords(h: np.ndarray, q: int) -> list[Point]:
@@ -102,11 +94,9 @@ def _null_space_codewords(h: np.ndarray, q: int) -> list[Point]:
         basis[i, fc] = 1
         for r, pc in enumerate(pivots):
             basis[i, pc] = (-h[r, fc]) % q
+    # with no free column, product yields the one empty combination
     combos = np.array(list(product(range(q), repeat=len(free))), dtype=np.int64)
-    if len(free) == 0:
-        combos = np.zeros((1, 0), dtype=np.int64)
-    words = (combos @ basis) % q
-    return sorted(tuple(int(s) for s in w) for w in words)
+    return sorted(tuple(int(s) for s in w) for w in (combos @ basis) % q)
 
 
 def binary_hamming(t: int) -> BlockCode:

@@ -48,6 +48,8 @@ ADJUST = {
 }
 
 _CLASS_OF = {pair: rep for rep, pairs in CLASSES.items() for pair in pairs}
+#: row s holds PHI[s], so a table lookup embeds a whole code at once
+_PHI_ROWS = np.array([PHI[s] for s in range(3)], dtype=np.uint8)
 _LAMBDA2 = lat.lambda_lattice(1)
 
 
@@ -132,6 +134,10 @@ def reduce_to_representative(a: Point) -> tuple[Point, Point]:
     return tuple(b), tuple(y)
 
 
+def _code_array(code: BlockCode) -> np.ndarray:
+    return np.array(code.codewords, dtype=np.uint8).reshape(-1, code.length)
+
+
 def _require_perfect(code: BlockCode, q: int) -> None:
     if code.q != q:
         raise ValueError(f"expected a code over Z_{q}, got Z_{code.q}")
@@ -143,8 +149,7 @@ def _require_perfect(code: BlockCode, q: int) -> None:
 def from_binary_perfect(code: BlockCode) -> PeriodicTiling:
     """Tiling of (Z_4)^n with codewords 2c for each codeword c (all even)."""
     _require_perfect(code, 2)
-    words = tuple(tuple(2 * s for s in w) for w in code.codewords)
-    return PeriodicTiling(n=code.length, p=4, codewords=words)
+    return PeriodicTiling(n=code.length, p=4, codewords=2 * _code_array(code))
 
 
 def to_binary_perfect(tiling: PeriodicTiling) -> BlockCode:
@@ -155,11 +160,10 @@ def to_binary_perfect(tiling: PeriodicTiling) -> BlockCode:
     """
     if tiling.p != 4:
         raise ValueError(f"expected period 4, got {tiling.p}")
-    if all(v % 2 == 0 for w in tiling.codewords for v in w):
-        words = tuple(tuple(v // 2 for v in w) for w in tiling.codewords)
-    else:
-        words = tuple(tuple(0 if v in (0, 1) else 1 for v in w) for w in tiling.codewords)
-    code = BlockCode(q=2, length=tiling.n, codewords=tuple(sorted(set(words))))
+    w = tiling.words
+    words = w // 2 if not (w % 2).any() else (w >= 2).astype(w.dtype)
+    distinct = tuple(map(tuple, np.unique(words, axis=0).tolist()))  # sorted rows
+    code = BlockCode(q=2, length=tiling.n, codewords=distinct)
     ok, reason = is_perfect(code)
     if not ok:
         raise ValueError(f"image is not a perfect code ({reason}); corrupt tiling?")
@@ -175,33 +179,28 @@ def punctured_construction(code: BlockCode) -> PeriodicTiling:
     _require_perfect(code, 2)
     if code.length < 3:
         raise ValueError("punctured construction needs length >= 3")
-    words = []
-    for w in code.codewords:
-        prefix, last = w[:-1], w[-1]
-        if sum(prefix) % 2 == 0:
-            words.append(tuple(2 * s for s in prefix) + (2 * last,))
-        else:
-            words.append(tuple(2 * s for s in prefix) + (2 * last + 1,))
-    return PeriodicTiling(n=code.length, p=4, codewords=tuple(words))
+    c = _code_array(code)
+    words = 2 * c
+    words[:, -1] += c[:, :-1].sum(axis=1) % 2
+    return PeriodicTiling(n=code.length, p=4, codewords=words)
 
 
 def from_ternary_perfect(code: BlockCode) -> PeriodicTiling:
     """Tiling of (Z_12)^{2 nu} from a ternary perfect code of length nu.
 
-    Codewords are the embedded code translated by the full lattice window;
-    the count 2^{2 nu} 3^{2 nu - t} is checked (the embedding plus lattice
-    sum has no collisions).
+    Codewords are the embedded code translated by the full lattice window,
+    formed as one broadcast sum; a collision (a repeated codeword) raises
+    RuntimeError, so the count is 2^{2 nu} 3^{2 nu - t}.
     """
     _require_perfect(code, 3)
     nu = code.length
-    embedded = np.array([phi_word(w) for w in code.codewords], dtype=np.int64)
-    lam = np.array(sorted(lat.window(lat.lambda_lattice(nu), 12)), dtype=np.int64)
-    all_words = ((embedded[:, None, :] + lam[None, :, :]) % 12).reshape(-1, 2 * nu)
-    words = sorted(map(tuple, all_words.tolist()))
-    expected = len(code.codewords) * 12**nu
-    if len(set(words)) != expected:
-        raise RuntimeError("collision in embedded code + lattice window")
-    return PeriodicTiling(n=2 * nu, p=12, codewords=tuple(words))
+    embedded = _PHI_ROWS[_code_array(code)].reshape(-1, 2 * nu)
+    lam = lat.window_array(lat.lambda_lattice(nu), 12).astype(np.uint8)
+    words = ((embedded[:, None, :] + lam[None, :, :]) % 12).reshape(-1, 2 * nu)
+    try:
+        return PeriodicTiling(n=2 * nu, p=12, codewords=words)
+    except ValueError as exc:  # a duplicate codeword
+        raise RuntimeError("collision in embedded code + lattice window") from exc
 
 
 def locate_tile_ternary(a: Point, code: BlockCode) -> Point:

@@ -181,18 +181,14 @@ def covers(x: Point, a: Point) -> bool:
     return True
 
 
-def torus_covers(x: Point, a: Point, p: int) -> bool:
-    """Torus version of :func:`covers` for points reduced mod p (p >= 4)."""
-    _pair(x, a)
+def torus_covers(x, a: Point, p: int):
+    """:func:`covers` on the torus for points reduced mod p (p >= 4); x may also be a
+    (k, n) array of codewords, answered row by row."""
+    if np.shape(x)[-1] != len(a):
+        raise DimensionMismatch(f"length {np.shape(x)[-1]} vs {len(a)}")
     if p < 4:
         raise ValueError(f"period must be >= 4, got {p}")
-    exceptional = 0
-    for xi, ai in zip(x, a):
-        d = (xi - ai) % p
-        if d == 2 or d == p - 1:
-            exceptional += 1
-            if exceptional > 1:
-                return False
-        elif d != 0 and d != 1:
-            return False
-    return True
+    d = (np.asarray(x, dtype=np.int64) - a) % p
+    arm = (d == 2) | (d == p - 1)  # an exceptional entry, -1 or 2
+    hit = ((d <= 1) | arm).all(axis=-1) & (arm.sum(axis=-1) <= 1)
+    return hit if hit.ndim else bool(hit)

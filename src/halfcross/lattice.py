@@ -1,8 +1,10 @@
 """Integer lattices: exact volumes, membership, the ternary-construction lattice.
 
-Every lattice question (rank, volume, membership, p-periodicity) is answered
-by one row Hermite normal form in exact Python ints; floating point is
-deliberately avoided because these quantities feed certificates.
+Every lattice question (rank, volume, membership, p-periodicity, the window
+mod p, whether a tiling's codewords form a subgroup) is answered by one row
+Hermite normal form in exact Python ints, and by reduction against it, which
+runs on whole arrays of points at once; floating point is deliberately
+avoided because these quantities feed certificates.
 """
 
 from __future__ import annotations
@@ -12,8 +14,13 @@ from dataclasses import dataclass
 from math import prod
 from pathlib import Path
 
+import numpy as np
+
 from . import _fileformat
 from .geometry import Point
+
+#: is_lattice_tiling reduces the codewords this many rows at a time
+_BLOCK = 4096
 
 
 class LatticeFormatError(_fileformat.FormatError):
@@ -37,25 +44,25 @@ class IntegerLattice:
 
 
 def _hnf(rows: Sequence[Point]) -> list[list[int]] | None:
-    """Row Hermite normal form of a square integer matrix, None below full rank.
+    """Row Hermite normal form of m >= n integer rows of length n, None below rank n.
 
-    Upper triangular with positive pivots, each entry above a pivot reduced
-    into [0, pivot); the rows span the same lattice as ``rows``.  Per column,
-    Euclid on the rows from the pivot down leaves one nonzero entry, which
-    then reduces the rows above it.
+    n rows, upper triangular with positive pivots, each entry above a pivot
+    reduced into [0, pivot); they span the same lattice as ``rows``.  Per
+    column, Euclid on the rows from the pivot down leaves one nonzero entry,
+    which then reduces the rows above it; the m - n rows left over are zero.
     """
-    n = len(rows)
+    m, n = len(rows), len(rows[0])
     h = [list(r) for r in rows]
     for k in range(n):
         while True:
-            live = [r for r in range(k, n) if h[r][k] != 0]
+            live = [r for r in range(k, m) if h[r][k] != 0]
             if not live:
                 return None
             piv = min(live, key=lambda r: abs(h[r][k]))
             h[k], h[piv] = h[piv], h[k]
             if len(live) == 1:
                 break
-            for r in range(k + 1, n):
+            for r in range(k + 1, m):
                 q = h[r][k] // h[k][k]
                 h[r] = [a - q * b for a, b in zip(h[r], h[k])]
         if h[k][k] < 0:
@@ -63,17 +70,23 @@ def _hnf(rows: Sequence[Point]) -> list[list[int]] | None:
         for r in range(k):
             q = h[r][k] // h[k][k]
             h[r] = [a - q * b for a, b in zip(h[r], h[k])]
-    return h
+    return h[:n]
 
 
-def _reduce(hnf: list[list[int]], x: Point) -> list[int]:
-    """x minus the lattice vector that brings entry k into [0, hnf[k][k]);
-    all zero exactly when x lies in the lattice of hnf."""
-    x = list(x)
+def _reduce(hnf: list[list[int]], x: np.ndarray, modulus: int | None = None) -> np.ndarray:
+    """Each row of the (m, n) array x minus the lattice vector that brings entry k
+    into [0, hnf[k][k]): zero exactly for rows in the lattice.  With ``modulus`` (whose
+    multiples of each e_i lie in the lattice) rows are also kept below it."""
     for k, row in enumerate(hnf):
-        q = x[k] // row[k]
-        x = [a - q * b for a, b in zip(x, row)]
+        x = x - (x[:, k] // row[k])[:, None] * np.array(row, dtype=x.dtype)
+        if modulus is not None:
+            x %= modulus
     return x
+
+
+def _exact_dtype(p: int):
+    # int64 holds the products of two entries below p; object (Python ints) beyond
+    return np.int64 if p < 2**31 else object
 
 
 def volume(lattice: IntegerLattice) -> int:
@@ -101,76 +114,66 @@ def contains(lattice: IntegerLattice, x: Point) -> bool:
     """True iff x is an integer combination of the generator rows."""
     if len(x) != lattice.n:
         raise ValueError(f"point length {len(x)} != lattice dimension {lattice.n}")
-    return not any(_reduce(_hnf(lattice.generator), x))
+    return not _reduce(_hnf(lattice.generator), np.array([x], dtype=object)).any()
 
 
 def window(lattice: IntegerLattice, p: int) -> set[Point]:
-    """All lattice points with coordinates in {0,..,p-1}.
+    """All lattice points with coordinates in {0,..,p-1}, as tuples; see window_array."""
+    return set(map(tuple, window_array(lattice, p).tolist()))
 
-    Requires the lattice to be p-periodic (p*e_i in the lattice for all i);
-    then the window is the subgroup of (Z_p)^n generated by the rows mod p,
-    of size p^n / volume.
+
+def window_array(lattice: IntegerLattice, p: int) -> np.ndarray:
+    """All lattice points with coordinates in {0,..,p-1}, one per row, unordered.
+
+    Requires the lattice to be p-periodic (p*e_i in the lattice for all i).
+    Then each pivot h_kk of the HNF divides p, and the window is every
+    sum of j_k * h_k mod p with 0 <= j_k < p / h_kk, each point once: p^n /
+    volume points, built as one product over the HNF rows.
     """
     n = lattice.n
     hnf = _hnf(lattice.generator)
-    for i in range(n):
-        if any(_reduce(hnf, tuple(p if j == i else 0 for j in range(n)))):
-            raise ValueError(f"lattice is not {p}-periodic (missing {p}*e_{i + 1})")
-    gens = [tuple(v % p for v in row) for row in lattice.generator]
-    return _subgroup(gens, n, p)
-
-
-def _subgroup(
-    gens: Sequence[Point], n: int, p: int, within: set[Point] | None = None
-) -> set[Point] | None:
-    # Closure of an abelian generating set inside (Z_p)^n.  With ``within``,
-    # None as soon as the closure leaves that set, so a non-subgroup never
-    # grows toward p^n; the scan stops once the closure fills it.
-    zero = (0,) * n
-    group: set[Point] = {zero}
-    for g in gens:
-        if g in group:
-            continue
-        reps = []
-        cur = g
-        while cur not in group:
-            reps.append(cur)
-            cur = tuple((a + b) % p for a, b in zip(cur, g))
-        extended = set(group)
-        for r in reps:
-            extended.update(tuple((a + b) % p for a, b in zip(h, r)) for h in group)
-        group = extended
-        if within is not None:
-            if not group <= within:
-                return None
-            if len(group) == len(within):
-                break
-    return group
+    missing = _reduce(hnf, p * np.eye(n, dtype=object)).any(axis=1)
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise ValueError(f"lattice is not {p}-periodic (missing {p}*e_{i + 1})")
+    points = np.zeros((1, n), dtype=_exact_dtype(p))
+    for k, row in enumerate(hnf):
+        steps = np.arange(p // row[k], dtype=points.dtype)[:, None] * np.array(row) % p
+        points = ((points[:, None, :] + steps[None, :, :]) % p).reshape(-1, n)
+    if len(points) * volume(lattice) != p**n:
+        raise RuntimeError(f"window of {len(points)} points does not fill {p}^{n} / volume")
+    return points
 
 
 def is_lattice_tiling(tiling) -> bool:
-    """Whether a verified periodic tiling's codeword set is a lattice mod p.
+    """Whether a verified periodic tiling's codewords T form a subgroup of (Z_p)^n,
+    so that T + pZ^n is an integer lattice.
 
-    True iff the window codewords form a subgroup of (Z_p)^n under addition;
-    then T + pZ^n is an integer lattice.  Uses incremental subgroup closure
-    (the subgroup at least doubles per added generator), so the scan is
-    near-linear in the codeword count.  Raises ValueError when the codewords
-    form a subgroup whose size cannot tile the window, so the input was not
-    a tiling.
+    Codewords are reduced, a block at a time, by the HNF of the generators so far
+    with p*I; the first that does not reduce to zero joins the generators.  Their
+    span S then holds T, and T is a subgroup exactly when |T| = |S| = p^n / prod(diag
+    HNF).  S at least doubles per generator; the scan stops once |S| > |T|.  Raises
+    ValueError when T is a subgroup whose size cannot tile the window.
     """
-    p, n = tiling.p, tiling.n
-    target = set(tiling.codewords)
-    if (0,) * n not in target:
-        return False
-    # every codeword is a generator, so a closure that stays inside the
-    # target ends equal to it
-    if _subgroup(tiling.codewords, n, p, within=target) is None:
+    p, n, k = tiling.p, tiling.n, len(tiling)
+    hnf = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    size = 1  # S = {0}
+    words = tiling.words.astype(_exact_dtype(p))
+    lo = 0
+    while lo < k and size <= k:
+        outside = _reduce(hnf, words[lo : lo + _BLOCK], p).any(axis=1)
+        if outside.any():
+            lo += int(np.argmax(outside))
+            hnf = _hnf(hnf + [words[lo].tolist()])
+            size = p**n // prod(row[i] for i, row in enumerate(hnf))
+        lo += 1 if outside.any() else _BLOCK
+    if size != k:
         return False
     # a lattice tiling's volume equals the shape size
     shape_size = 2**n * (n + 1)
-    if p**n != len(target) * shape_size:
+    if p**n != k * shape_size:
         raise ValueError(
-            f"not a tiling: {len(target)} codewords of {shape_size} cells "
+            f"not a tiling: {k} codewords of {shape_size} cells "
             f"do not fill {p}^{n} = {p**n} cells"
         )
     return True

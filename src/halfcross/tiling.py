@@ -1,12 +1,13 @@
 """Periodic tilings, the exact-cover verifier, symmetry transforms, and audits.
 
 A periodic tiling with period p is stored by its window codewords in
-{0,..,p-1}^n.  Verification marks, for every codeword X and shape offset D,
-the cell (X - D) mod p, and demands that every cell of the p^n window is
-marked exactly once.  The window is sharded by the last coordinate so the
+{0,..,p-1}^n: one sorted array, whose rows are sorted, deduplicated and looked
+up through big-endian byte keys.  Verification marks, for every codeword X
+and shape offset D, the cell (X - D) mod p, and demands that every cell of the
+p^n window is marked exactly once.  The window is sharded by the last coordinate so the
 12^8-cell case fits comfortably in memory.  A shard's marks are broadcast
 outer sums of per-codeword tables (one entry per coordinate and offset
-entry), written into one buffer, sorted once and scanned once: adjacent
+entry), written into one buffer, sorted once and scanned in slices: adjacent
 differences count the uncovered and multiply covered cells, and the first
 place the sorted marks leave the range 0, 1, ... names the lowest bad cell.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +34,8 @@ DEFAULT_PAIR_BUDGET = 10**8
 #: the entries an offset D can take per coordinate; mark tables index them
 #: in this order, so j = 1, 2 are the core entries 0, 1 and j = 0, 3 the arms
 _ENTRIES = (-1, 0, 1, 2)
-#: the witness scan compares sorted marks against a range in slices this long
-_SCAN_SLICE = 8_000_000
+#: sorted marks are scanned (counts and witness) in slices this long
+_SCAN_SLICE = 2_000_000
 
 
 class CellBudgetExceeded(ValueError):
@@ -64,35 +67,91 @@ def power_text(p: int, n: int) -> str:
     return f"{p}^{n} = {digits}" if digits else f"{p}^{n}"
 
 
-@dataclass(frozen=True)
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One key per row of an unsigned array; keys compare bytewise like the rows
+    lexicographically, since the entries are written big-endian (nothing wraps)."""
+    big = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
+
+
+def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
+    """The codewords as a sorted array; ValueError names the first codeword, in the
+    given order, of the wrong length, outside 0..p-1, or equal to an earlier one."""
+    if not isinstance(codewords, np.ndarray):
+        codewords = tuple(codewords)
+        try:
+            codewords = np.asarray(codewords, dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged rows or entries past int64
+            codewords = np.asarray(codewords, dtype=object)
+    if len(codewords) == 0:
+        return np.empty((0, n), dtype=np.min_scalar_type(p - 1))
+    if codewords.ndim != 2 or codewords.shape[1] != n:
+        i = next(i for i, w in enumerate(codewords) if len(w) != n)
+        _sorted_words(tuple(codewords[:i]), n, p)
+        raise ValueError(f"codeword {tuple(map(int, codewords[i]))} has length != {n}")
+    outside = ((codewords < 0) | (codewords >= p)).any(axis=1)
+    end = int(np.argmax(outside)) if outside.any() else len(codewords)
+    words = codewords[:end].astype(np.min_scalar_type(p - 1))
+    keys = _row_keys(words)
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    if repeat.any():
+        w = words[order[1:][repeat].min()]
+        raise ValueError(f"duplicate codeword {tuple(map(int, w))}")
+    if end < len(codewords):
+        w = tuple(map(int, codewords[end]))
+        raise ValueError(f"codeword {w} outside window of period {p}")
+    return words[order]
+
+
 class PeriodicTiling:
-    """Window representation of T = codewords + p Z^n."""
+    """Window representation of T = codewords + p Z^n (p below 2^63).
 
-    n: int
-    p: int
-    codewords: tuple[Point, ...]
+    ``words`` holds the codewords: one sorted, read-only (k, n) array of the
+    smallest unsigned dtype for p - 1.  ``codewords`` is the same as a sorted
+    tuple of tuples, built on first access.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.p < 4:
-            raise ValueError(f"period must be >= 4, got {self.p}")
-        seen = set()
-        for w in self.codewords:
-            if len(w) != self.n:
-                raise ValueError(f"codeword {w} has length != {self.n}")
-            if any(v < 0 or v >= self.p for v in w):
-                raise ValueError(f"codeword {w} outside window of period {self.p}")
-            if w in seen:
-                raise ValueError(f"duplicate codeword {w}")
-            seen.add(w)
-        object.__setattr__(self, "codewords", tuple(sorted(self.codewords)))
+    def __init__(self, n: int, p: int, codewords):
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if p < 4:
+            raise ValueError(f"period must be >= 4, got {p}")
+        if p >= 2**63:
+            raise ValueError("period must be below 2^63")
+        self.n, self.p = n, p
+        self.words = _sorted_words(codewords, n, p)
+        self.words.flags.writeable = False
+
+    @cached_property
+    def codewords(self) -> tuple[Point, ...]:
+        return tuple(zip(*self.words.T.tolist())) if len(self.words) else ()
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self.words)
+
+    def __contains__(self, x) -> bool:
+        x = np.asarray(x)
+        shaped = x.dtype.kind in "iu" and x.shape == (self.n,) and len(self) > 0
+        if not (shaped and ((x >= 0) & (x < self.p)).all()):
+            return False
+        keys, key = _row_keys(self.words), _row_keys(x[None].astype(self.words.dtype))
+        return bool(keys[min(int(np.searchsorted(keys, key)[0]), len(self) - 1)] == key[0])
 
     def codeword_set(self) -> set[Point]:
         return set(self.codewords)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodicTiling):
+            return NotImplemented
+        same = (self.n, self.p) == (other.n, other.p)
+        return same and np.array_equal(self.words, other.words)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.words.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"PeriodicTiling(n={self.n}, p={self.p}, codewords={self.codewords!r})"
 
 
 @dataclass(frozen=True)
@@ -105,20 +164,11 @@ class VerificationReport:
     min_cross_distance: int | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "is_tiling": self.is_tiling,
-            "cells_total": self.cells_total,
-            "multiply_covered": self.multiply_covered,
-            "uncovered": self.uncovered,
-        }
+        d = {key: value for key, value in asdict(self).items() if value is not None}
         if self.first_witness is not None:
             cell, cws = self.first_witness
-            d["first_witness"] = {
-                "cell": list(cell),
-                "covering_codewords": [list(w) for w in cws],
-            }
-        if self.min_cross_distance is not None:
-            d["min_cross_distance"] = self.min_cross_distance
+            d["first_witness"] = {"cell": list(cell),
+                                  "covering_codewords": [list(w) for w in cws]}
         return d
 
 
@@ -132,14 +182,7 @@ class NonexistenceCertificate:
     conclusion: str
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "forced_period": self.forced_period,
-            "shape_size": self.shape_size,
-            "window_size": self.window_size,
-            "divides": self.divides,
-            "conclusion": self.conclusion,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -172,19 +215,9 @@ class AuditReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "profile": self.profile,
-            "f1_pairs": [list(p) for p in self.f1_pairs],
-            "f2_triples": [list(t) for t in self.f2_triples],
-            "spencer_bound": self.spencer_bound,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {**asdict(self), "f1_pairs": [list(p) for p in self.f1_pairs],
+                "f2_triples": [list(t) for t in self.f2_triples], "passed": self.passed,
+                "checks": [asdict(c) for c in self.checks]}
 
 
 def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
@@ -196,7 +229,7 @@ def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
     """
     radix = p ** np.arange(xs.shape[1], dtype=np.int64)
     d = np.array(_ENTRIES, dtype=np.int64)
-    t = (xs.T[:, None, :] - d[None, :, None]) % p * radix[:, None, None]
+    t = (xs.T.astype(np.int64)[:, None, :] - d[None, :, None]) % p * radix[:, None, None]
     return np.ascontiguousarray(t, dtype=dtype)
 
 
@@ -227,13 +260,29 @@ def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
     return pos
 
 
+def _count_runs(arr: np.ndarray) -> tuple[int, int]:
+    """(distinct values, runs of two or more equal values) of a sorted array, from
+    adjacent differences taken one slice at a time; a run starts wherever a step is
+    followed by no step, and the step before each slice is carried across."""
+    distinct, runs, prev = min(arr.size, 1), 0, True
+    for lo in range(0, arr.size - 1, _SCAN_SLICE):
+        seg = arr[lo : lo + _SCAN_SLICE + 1]
+        step = seg[1:] != seg[:-1]
+        steps = int(np.count_nonzero(step))
+        distinct += steps
+        if steps < step.size:
+            runs += int(prev and not step[0]) + int(np.count_nonzero(step[:-1] > step[1:]))
+        prev = bool(step[-1])
+    return distinct, runs
+
+
 def _first_mismatch(arr: np.ndarray, stop: int) -> int:
     """Lowest i < stop with arr[i] != i, or stop if there is none."""
     for lo in range(0, stop, _SCAN_SLICE):
         seg = arr[lo : min(lo + _SCAN_SLICE, stop)]
-        bad = np.flatnonzero(seg != np.arange(lo, lo + seg.size, dtype=arr.dtype))
-        if bad.size:
-            return lo + int(bad[0])
+        bad = seg != np.arange(lo, lo + seg.size, dtype=arr.dtype)
+        if bad.any():
+            return lo + int(np.argmax(bad))
     return stop
 
 
@@ -250,14 +299,14 @@ def verify(
     per-codeword tables, one entry per coordinate, since the offsets are
     exactly the D in {-1,0,1,2}^n with at most one entry in {-1, 2}; they are
     written into one buffer and sorted once.  Adjacent differences of the
-    sorted marks count the distinct cells and the cells marked more than
-    once, so exact-once covering (and hence both the packing and covering
-    properties) takes one sort and one scan per shard.  The first bad shard's
-    sorted marks are also compared against the range 0, 1, ..., whose first
-    mismatch names the lowest bad cell.  Cell indices are int32 while a shard
-    has fewer than 2^31 cells and int64 beyond.  The minimum torus cross
-    distance over codeword pairs is reported when the pair count is within
-    budget.
+    sorted marks, taken in slices, count the distinct cells and the cells
+    marked more than once, so exact-once covering (and hence both the packing
+    and covering properties) takes one sort and one scan per shard.  The
+    first bad shard's sorted marks are also compared against the range 0, 1,
+    ..., whose first mismatch names the lowest bad cell.  Cell indices are
+    int32 while a shard has fewer than 2^31 cells and int64 beyond.  The
+    minimum torus cross distance over codeword pairs is reported when the
+    pair count is within budget.
     """
     n, p = tiling.n, tiling.p
     if window_exceeds(p, n, cell_budget):
@@ -265,21 +314,20 @@ def verify(
     total = p**n
     shard_size = total // p
     dtype = np.int32 if shard_size < 2**31 else np.int64
-    k = len(tiling.codewords)
+    k = len(tiling)
+    words = tiling.words
 
     # mark tables of the codewords grouped by their last coordinate value;
     # shard c takes the group c + d for each last offset entry d, with arms
     # only where d is 0 or 1
-    cw = np.array(tiling.codewords, dtype=np.int64).reshape(k, n)
-    tables = [_mark_tables(cw[cw[:, n - 1] == v, : n - 1], p, dtype) for v in range(p)]
+    tables = [_mark_tables(words[words[:, n - 1] == v, : n - 1], p, dtype) for v in range(p)]
     shards = [[(tables[(c + d) % p], d in (0, 1)) for d in _ENTRIES] for c in range(p)]
     per_word = 1 << (n - 1)
     buf = np.empty(
         max(sum(t.shape[2] * per_word * (n if arms else 1) for t, arms in s) for s in shards),
         dtype=dtype,
     )
-    uncovered = 0
-    multiply = 0
+    uncovered = multiply = 0
     witness_idx: int | None = None
     for c, groups in enumerate(shards):
         pos = 0
@@ -287,12 +335,7 @@ def verify(
             pos += _write_marks(t, buf[pos:], arms)
         arr = buf[:pos]
         arr.sort()
-        step = arr[1:] != arr[:-1]
-        distinct = min(pos, 1) + int(np.count_nonzero(step))
-        runs = 0
-        if distinct < pos:
-            # a run of equal marks starts where a step is followed by no step
-            runs = int(np.count_nonzero(step[:-1] > step[1:])) + int(not step[0])
+        distinct, runs = _count_runs(arr)
         if distinct == shard_size and runs == 0:
             continue
         uncovered += shard_size - distinct
@@ -303,14 +346,13 @@ def verify(
             i = _first_mismatch(arr, min(pos, shard_size + 1))
             bad = i - 1 if i < pos and arr[i] < i else i
             witness_idx = bad + c * shard_size
+    del buf, arr, tables, shards  # the marks are done with; free them first
 
     first_witness = None
     if witness_idx is not None:
         cell = index_to_point(witness_idx, n, p)
-        covering = tuple(
-            w for w in tiling.codewords if torus_covers(w, cell, p)
-        )
-        first_witness = (cell, covering)
+        covering = words[torus_covers(words, cell, p)]
+        first_witness = (cell, tuple(map(tuple, covering.tolist())))
 
     min_dc = None
     if k >= 2 and k * k <= pair_budget:
@@ -329,55 +371,52 @@ def verify(
 def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
     p = tiling.p
     return pairwise_minimum(
-        np.array(tiling.codewords, dtype=np.int64),
+        tiling.words.astype(np.int64),
         lambda a, b: np.maximum(np.minimum((a - b) % p, (b - a) % p) - 1, 0).sum(axis=-1),
     )
 
 
 def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
     """Translate so that the codeword x0 moves to the origin."""
-    if x0 not in tiling.codeword_set():
+    if x0 not in tiling:
         raise ValueError(f"{x0} is not a codeword")
-    p = tiling.p
-    moved = tuple(
-        tuple((v - u) % p for v, u in zip(w, x0)) for w in tiling.codewords
-    )
-    return PeriodicTiling(n=tiling.n, p=p, codewords=moved)
+    moved = (tiling.words.astype(np.int64) - np.asarray(x0, dtype=np.int64)) % tiling.p
+    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
 
 
 def permute(tiling: PeriodicTiling, sigma: tuple[int, ...]) -> PeriodicTiling:
     """Apply a coordinate permutation: coordinate i takes the old sigma[i]-th value."""
     if sorted(sigma) != list(range(tiling.n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{tiling.n - 1}")
-    moved = tuple(tuple(w[sigma[i]] for i in range(tiling.n)) for w in tiling.codewords)
-    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
+    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=tiling.words[:, list(sigma)])
 
 
 def reflect(tiling: PeriodicTiling, signs: Point) -> PeriodicTiling:
     """Negate (mod p) every coordinate whose sign entry is -1."""
     if len(signs) != tiling.n or any(a not in (-1, 1) for a in signs):
         raise ValueError("signs must be a length-n vector over {-1, 1}")
-    p = tiling.p
-    moved = tuple(
-        tuple(v if a == 1 else (-v) % p for v, a in zip(w, signs))
-        for w in tiling.codewords
-    )
-    return PeriodicTiling(n=tiling.n, p=p, codewords=moved)
+    moved = tiling.words.astype(np.int64) * np.asarray(signs) % tiling.p
+    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
 
 
 def is_periodic_with(tiling: PeriodicTiling, p2: int) -> bool:
-    """Whether the codeword set is invariant under adding p2*e_i mod p, all i."""
+    """Whether the codeword set is invariant under adding p2*e_i mod p, all i.
+
+    That makes T a union of classes mod p2, each meeting the window in
+    (p/p2)^n points: so one sort decides whether every residue mod p2 that
+    occurs occurs (p/p2)^n times.
+    """
     if p2 <= 0 or tiling.p % p2 != 0:
         raise ValueError(f"{p2} does not divide the period {tiling.p}")
-    words = tiling.codeword_set()
-    p = tiling.p
-    for i in range(tiling.n):
-        shifted = {
-            w[:i] + ((w[i] + p2) % p,) + w[i + 1 :] for w in words
-        }
-        if shifted != words:
-            return False
-    return True
+    k = len(tiling)
+    if k == 0 or p2 == tiling.p:
+        return True
+    if window_exceeds(tiling.p // p2, tiling.n, k):
+        return False  # a class has more points than there are codewords
+    lifts = (tiling.p // p2) ** tiling.n
+    keys = np.sort(_row_keys(tiling.words % p2))
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return bool((np.diff(np.r_[starts, k]) == lifts).all())
 
 
 def admissible_dimension(n: int) -> Admissibility:
@@ -432,14 +471,6 @@ def spencer_bound(n: int) -> int:
     return (n * ((n - 1) // 2)) // 3
 
 
-def _unit_like(n: int, p: int, entries: dict[int, int]) -> Point:
-    # residue word with the given {0-based coordinate: value} entries, 0 elsewhere
-    w = [0] * n
-    for i, v in entries.items():
-        w[i] = v % p
-    return tuple(w)
-
-
 def structural_audit(
     tiling: PeriodicTiling, report: VerificationReport
 ) -> AuditReport:
@@ -456,8 +487,7 @@ def structural_audit(
     if not report.is_tiling:
         raise ValueError("structural audit requires a verified tiling")
     n, p = tiling.n, tiling.p
-    words = tiling.codeword_set()
-    if (0,) * n not in words:
+    if (0,) * n not in tiling:
         raise ValueError("structural audit requires 0 to be a codeword (normalize first)")
 
     checks: list[AuditCheck] = []
@@ -465,125 +495,73 @@ def structural_audit(
     def check(name: str, passed: bool, detail: str) -> None:
         checks.append(AuditCheck(name=name, passed=passed, detail=detail))
 
+    def has(*entries: tuple[int, int]) -> bool:
+        # the residue word with these (1-based coordinate, value) entries, 0 elsewhere
+        x = [0] * n
+        for i, v in entries:
+            x[i - 1] = v % p
+        return tuple(x) in tiling
+
+    w = tiling.words
+    twos, threes = w == 2, w == 3
     # F1: ordered pairs (r, s), 1-based, with the residue word 3@r, 2@s in T
-    f1 = []
-    for w in tiling.codewords:
-        nz = [(i, v) for i, v in enumerate(w) if v != 0]
-        if len(nz) == 2 and sorted(v for _, v in nz) == [2, 3]:
-            r = next(i for i, v in nz if v == 3)
-            s = next(i for i, v in nz if v == 2)
-            f1.append((r + 1, s + 1))
-    f1.sort()
-
+    rows = (np.count_nonzero(w, axis=1) == 2) & threes.any(axis=1) & twos.any(axis=1)
+    f1 = sorted(zip((threes[rows].argmax(axis=1) + 1).tolist(),
+                    (twos[rows].argmax(axis=1) + 1).tolist()))
     # F2: coordinate triples from codewords with 2 exactly thrice, 0/1 elsewhere
-    f2 = set()
-    for w in tiling.codewords:
-        twos = [i for i, v in enumerate(w) if v == 2]
-        if len(twos) == 3 and all(v in (0, 1, 2) for v in w):
-            f2.add(tuple(i + 1 for i in twos))
-    f2_sorted = tuple(sorted(f2))
+    rows = (twos.sum(axis=1) == 3) & (w <= 2).all(axis=1)
+    triples = np.nonzero(twos[rows])[1].reshape(-1, 3) + 1
+    f2 = tuple(sorted(set(map(tuple, triples.tolist()))))
 
-    profile = "odd" if n % 2 == 1 else "even"
-
-    supports = [set(pair) for pair in f1]
-    disjoint = all(
-        supports[i].isdisjoint(supports[j])
-        for i in range(len(supports))
-        for j in range(i + 1, len(supports))
-    )
-    check("f1-supports-disjoint", disjoint, f"F1 = {f1}")
-
+    # each F1 support is two coordinates, so they are disjoint when they cover 2|F1|
+    covered = set().union(*f1)
+    check("f1-supports-disjoint", len(covered) == 2 * len(f1), f"F1 = {f1}")
     if n % 2 == 0:
-        covered = set().union(*supports) if supports else set()
-        check(
-            "f1-count-half-n",
-            len(f1) == n // 2,
-            f"|F1| = {len(f1)}, expected {n // 2}",
-        )
-        check(
-            "f1-covers-all-coordinates",
-            covered == set(range(1, n + 1)),
-            f"coordinates covered: {sorted(covered)}",
-        )
+        check("f1-count-half-n", len(f1) == n // 2, f"|F1| = {len(f1)}, expected {n // 2}")
+        check("f1-covers-all-coordinates", covered == set(range(1, n + 1)),
+              f"coordinates covered: {sorted(covered)}")
     else:
         check("f1-empty-for-odd-n", len(f1) == 0, f"|F1| = {len(f1)}")
 
     for r, s in f1:
-        s0 = s - 1
-        r0 = r - 1
-        have_4 = _unit_like(n, p, {s0: 4}) in words
-        have_m4 = _unit_like(n, p, {s0: -4}) in words
-        have_m32 = _unit_like(n, p, {r0: -3, s0: -2}) in words
-        check(
-            f"companions-({r},{s})",
-            have_4 and have_m4 and have_m32,
-            f"4e_{s}: {have_4}, -4e_{s}: {have_m4}, -(3e_{r}+2e_{s}): {have_m32}",
-        )
+        have_4, have_m4, have_m32 = has((s, 4)), has((s, -4)), has((r, -3), (s, -2))
+        check(f"companions-({r},{s})", have_4 and have_m4 and have_m32,
+              f"4e_{s}: {have_4}, -4e_{s}: {have_m4}, -(3e_{r}+2e_{s}): {have_m32}")
         if p == 12:
-            have_64 = _unit_like(n, p, {r0: 6, s0: 4}) in words
-            have_96 = _unit_like(n, p, {r0: 9, s0: 6}) in words
-            check(
-                f"chain-({r},{s})",
-                have_64 and have_96,
-                f"6e_{r}+4e_{s}: {have_64}, 9e_{r}+6e_{s}: {have_96}",
-            )
+            have_64, have_96 = has((r, 6), (s, 4)), has((r, 9), (s, 6))
+            check(f"chain-({r},{s})", have_64 and have_96,
+                  f"6e_{r}+4e_{s}: {have_64}, 9e_{r}+6e_{s}: {have_96}")
 
     # every unordered coordinate pair lies in exactly one member of F1 u F2
-    members = [frozenset(pair) for pair in f1] + [frozenset(t) for t in f2_sorted]
-    bad_pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            hits = sum(1 for m in members if {i, j} <= m)
-            if hits != 1:
-                bad_pairs.append((i, j, hits))
-    check(
-        "pair-partition-f1-f2",
-        not bad_pairs,
-        "each pair in exactly one member" if not bad_pairs else f"violations: {bad_pairs}",
-    )
+    members = [set(m) for m in f1 + list(f2)]
+    bad_pairs = [(i, j, hits) for i, j in combinations(range(1, n + 1), 2)
+                 if (hits := sum({i, j} <= m for m in members)) != 1]
+    check("pair-partition-f1-f2", not bad_pairs,
+          f"violations: {bad_pairs}" if bad_pairs else "each pair in exactly one member")
 
     bound = spencer_bound(n)
     if n % 6 != 5:
-        check(
-            "triple-system-bound",
-            len(f2_sorted) <= bound,
-            f"|F2| = {len(f2_sorted)} <= {bound}",
-        )
+        check("triple-system-bound", len(f2) <= bound, f"|F2| = {len(f2)} <= {bound}")
 
     forced = nonexistence_certificate(n).forced_period
-    if p % forced == 0:
-        check(
-            f"forced-period-{forced}",
-            is_periodic_with(tiling, forced),
-            f"invariant under +{forced}e_i for all i",
-        )
-    else:
-        check(
-            f"forced-period-{forced}",
-            False,
-            f"window period {p} is not a multiple of the forced period {forced}",
-        )
+    multiple = p % forced == 0
+    check(f"forced-period-{forced}", multiple and is_periodic_with(tiling, forced),
+          f"invariant under +{forced}e_i for all i" if multiple
+          else f"window period {p} is not a multiple of the forced period {forced}")
 
-    return AuditReport(
-        n=n,
-        p=p,
-        profile=profile,
-        f1_pairs=tuple(f1),
-        f2_triples=f2_sorted,
-        spencer_bound=bound,
-        checks=tuple(checks),
-    )
+    return AuditReport(n=n, p=p, profile="odd" if n % 2 else "even", f1_pairs=tuple(f1),
+                       f2_triples=f2, spencer_bound=bound, checks=tuple(checks))
 
 
 def write_tiling(tiling: PeriodicTiling, path: str | Path) -> None:
     """Write a TILING v1 file (codewords sorted lexicographically)."""
-    header = {"n": tiling.n, "p": tiling.p, "count": len(tiling.codewords)}
-    _fileformat.write(path, "TILING v1", header, sorted(tiling.codewords))
+    header = {"n": tiling.n, "p": tiling.p, "count": len(tiling)}
+    _fileformat.write(path, "TILING v1", header, tiling.words)
 
 
 def read_tiling(path: str | Path) -> PeriodicTiling:
-    """Parse a TILING v1 file."""
+    """Parse a TILING v1 file; the body is parsed at once into an array."""
     return _fileformat.read(
         path, "TILING v1", ("n", "p", "count"), TilingFormatError,
-        lambda n, p, _, words: PeriodicTiling(n=n, p=p, codewords=words),
+        lambda n, p, _, words: PeriodicTiling(n=n, p=p, codewords=words), as_array=True,
     )

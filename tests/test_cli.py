@@ -14,7 +14,7 @@ from halfcross.cli import (
     main,
 )
 from halfcross.svgout import svg_document
-from halfcross.tiling import PeriodicTiling, read_tiling, write_tiling
+from halfcross.tiling import PeriodicTiling, TilingFormatError, read_tiling, write_tiling
 
 LAMBDA2_WORDS = (
     (0, 0), (0, 4), (0, 8), (3, 2), (3, 6), (3, 10),
@@ -313,3 +313,31 @@ def test_cli_errors_exit_without_traceback(tmp_path, capsys, argv, exit_code):
     code, _, err = run(capsys, *(a.format(**names) for a in argv))
     assert code == exit_code
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "n 2\np 12\ncount 1\n0\n",
+        "n 2\np 12\ncount 1\n0 0 0\n",
+        "n 8\np 12\ncount 2\n0 0 0 0 0 0 0\n0 0 0 0 0 0 0 1 1\n",
+        "n 2\np 12\ncount 1\n0 x\n",
+        "n 2\np 12\ncount 1\n0 12\n",
+        "n 2\np 12\ncount 1\n0 -1\n",
+        "n 2\np 12\ncount 1\n0 99999999999999999999\n",
+        "n 2\np 12\ncount 2\n0 0\n\n",
+        "n 2\np 12\ncount 2\n\n \n",
+    ],
+    ids=["short-row", "long-row", "rows-7-and-9", "non-integer", "entry-p", "negative",
+         "past-int64", "blank-row", "blank-body"],
+)
+def test_tiling_reader_rejects_bad_rows(tmp_path, capsys, body):
+    # the body is parsed as one array; none of these may parse, be regrouped
+    # into rows of the right length, or leave the CLI with a traceback
+    path = tmp_path / "bad.tiling"
+    path.write_text("TILING v1\n" + body)
+    with pytest.raises(TilingFormatError):
+        read_tiling(path)
+    code, out, err = run(capsys, "verify", "--tiling", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

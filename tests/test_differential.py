@@ -1,0 +1,340 @@
+"""Array layers against the tuple implementations they replaced.
+
+Each oracle below is the per-codeword tuple code that an array layer
+replaced: tuple comprehensions, Python sets and the incremental subgroup
+closure.  Hypothesis draws small (n, p) windows, real tilings, subgroups of
+(Z_p)^n and perturbations of them (a codeword dropped, moved or duplicated),
+and every array layer must agree with its oracle, error messages included.
+The profile is derandomized, so every run draws the same examples.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from halfcross import codes, constructions, lattice
+from halfcross.lattice import (
+    IntegerLattice,
+    _hnf,
+    contains,
+    is_lattice_tiling,
+    window,
+)
+from halfcross.tiling import (
+    PeriodicTiling,
+    VerificationReport,
+    is_periodic_with,
+    normalize,
+    permute,
+    read_tiling,
+    reflect,
+    structural_audit,
+    verify,
+    write_tiling,
+)
+
+PROFILE = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+#: small windows: p^n stays at most 1728
+DIMS = [(1, 4), (1, 7), (2, 4), (2, 6), (2, 12), (3, 4), (3, 6), (3, 12)]
+
+LAMBDA2_WORDS = (
+    (0, 0), (0, 4), (0, 8), (3, 2), (3, 6), (3, 10),
+    (6, 0), (6, 4), (6, 8), (9, 2), (9, 6), (9, 10),
+)
+
+
+def _real_tilings():
+    return [
+        (2, 12, LAMBDA2_WORDS),
+        (3, 4, constructions.from_binary_perfect(codes.binary_hamming(2)).codewords),
+        (7, 4, constructions.punctured_construction(codes.binary_hamming(3)).codewords),
+        (2, 12, constructions.from_ternary_perfect(codes.ternary_hamming(1)).codewords),
+        (1, 4, ((0,),)),
+    ]
+
+
+REAL = _real_tilings()
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def construct_oracle(n, p, words):
+    """Validation and order of the tuple-backed PeriodicTiling."""
+    seen = set()
+    for w in words:
+        if len(w) != n:
+            raise ValueError(f"codeword {w} has length != {n}")
+        if any(v < 0 or v >= p for v in w):
+            raise ValueError(f"codeword {w} outside window of period {p}")
+        if w in seen:
+            raise ValueError(f"duplicate codeword {w}")
+        seen.add(w)
+    return tuple(sorted(words))
+
+
+def normalize_oracle(words, p, x0):
+    if x0 not in set(words):
+        raise ValueError(f"{x0} is not a codeword")
+    return tuple(sorted(tuple((v - u) % p for v, u in zip(w, x0)) for w in words))
+
+
+def permute_oracle(words, sigma):
+    return tuple(sorted(tuple(w[s] for s in sigma) for w in words))
+
+
+def reflect_oracle(words, p, signs):
+    return tuple(sorted(
+        tuple(v if a == 1 else (-v) % p for v, a in zip(w, signs)) for w in words
+    ))
+
+
+def periodic_oracle(words, n, p, p2):
+    words = set(words)
+    for i in range(n):
+        shifted = {w[:i] + ((w[i] + p2) % p,) + w[i + 1 :] for w in words}
+        if shifted != words:
+            return False
+    return True
+
+
+def subgroup_oracle(gens, n, p, within=None):
+    """Closure of an abelian generating set inside (Z_p)^n; None once it leaves ``within``."""
+    group = {(0,) * n}
+    for g in gens:
+        if g in group:
+            continue
+        reps = []
+        cur = g
+        while cur not in group:
+            reps.append(cur)
+            cur = tuple((a + b) % p for a, b in zip(cur, g))
+        extended = set(group)
+        for r in reps:
+            extended.update(tuple((a + b) % p for a, b in zip(h, r)) for h in group)
+        group = extended
+        if within is not None:
+            if not group <= within:
+                return None
+            if len(group) == len(within):
+                break
+    return group
+
+
+def lattice_tiling_oracle(words, n, p):
+    """True, False, or the ValueError message of the subgroup-closure check."""
+    target = set(words)
+    if (0,) * n not in target:
+        return False
+    if subgroup_oracle(sorted(words), n, p, within=target) is None:
+        return False
+    shape_size = 2**n * (n + 1)
+    if p**n != len(target) * shape_size:
+        return (
+            f"not a tiling: {len(target)} codewords of {shape_size} cells "
+            f"do not fill {p}^{n} = {p**n} cells"
+        )
+    return True
+
+
+def file_oracle(n, p, words):
+    lines = ["TILING v1", f"n {n}", f"p {p}", f"count {len(words)}"]
+    lines.extend(" ".join(map(str, w)) for w in sorted(words))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def torus_covers_oracle(x, a, p):
+    exceptional = 0
+    for xi, ai in zip(x, a):
+        d = (xi - ai) % p
+        if d == 2 or d == p - 1:
+            exceptional += 1
+            if exceptional > 1:
+                return False
+        elif d != 0 and d != 1:
+            return False
+    return True
+
+
+def f1_f2_oracle(words):
+    f1 = []
+    for w in words:
+        nz = [(i, v) for i, v in enumerate(w) if v != 0]
+        if len(nz) == 2 and sorted(v for _, v in nz) == [2, 3]:
+            r = next(i for i, v in nz if v == 3)
+            s = next(i for i, v in nz if v == 2)
+            f1.append((r + 1, s + 1))
+    f2 = set()
+    for w in words:
+        twos = [i for i, v in enumerate(w) if v == 2]
+        if len(twos) == 3 and all(v in (0, 1, 2) for v in w):
+            f2.add(tuple(i + 1 for i in twos))
+    return tuple(sorted(f1)), tuple(sorted(f2))
+
+
+# ------------------------------------------------------------- strategies
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def word_sets(draw):
+    """(n, p, words): a real tiling, a subgroup, or a random set, often perturbed."""
+    kind = draw(st.sampled_from(["real", "subgroup", "random"]))
+    if kind == "real":
+        n, p, words = draw(st.sampled_from(REAL))
+        words = set(words)
+    else:
+        n, p = draw(st.sampled_from(DIMS))
+        point = st.tuples(*[st.integers(0, p - 1)] * n)
+        if kind == "subgroup":
+            words = subgroup_oracle(draw(st.lists(point, max_size=3)), n, p)
+        else:
+            words = draw(st.sets(point, max_size=30))
+    change = draw(st.sampled_from(["none", "drop", "move"]))
+    if change == "drop" and words:
+        words = words - {draw(st.sampled_from(sorted(words)))}
+    elif change == "move" and words:
+        old = draw(st.sampled_from(sorted(words)))
+        new = tuple(draw(st.integers(0, p - 1)) for _ in range(n))
+        words = (words - {old}) | {new}
+    return n, p, tuple(sorted(words))
+
+
+# ------------------------------------------------------------------ tests
+
+
+@PROFILE
+@given(data=st.data())
+def test_construction_matches_oracle(data):
+    # sequences with wrong lengths, entries outside the window and duplicates
+    n, p = data.draw(st.sampled_from(DIMS))
+    value = st.integers(-2, p + 1) | st.integers(0, p - 1)
+    row = st.lists(value, min_size=n, max_size=n) | st.lists(value, max_size=n + 1)
+    words = [tuple(r) for r in data.draw(st.lists(row, max_size=8))]
+    if words and data.draw(st.booleans()):
+        words.insert(data.draw(st.integers(0, len(words))), data.draw(st.sampled_from(words)))
+    want = _outcome(construct_oracle, n, p, words)
+    got = _outcome(lambda: PeriodicTiling(n=n, p=p, codewords=words).codewords)
+    assert got == want
+    if want[:1] != ("ValueError",):
+        arr = PeriodicTiling(n=n, p=p, codewords=np.array(want, dtype=np.int64).reshape(-1, n))
+        assert arr.codewords == want
+
+
+@PROFILE
+@given(case=word_sets(), data=st.data())
+def test_transforms_match_oracle(case, data):
+    n, p, words = case
+    t = PeriodicTiling(n=n, p=p, codewords=words)
+    assert t.codewords == words and len(t) == len(words)
+    x0 = data.draw(st.sampled_from(words) if words and data.draw(st.booleans())
+                   else st.tuples(*[st.integers(-1, p)] * n))
+    got = _outcome(lambda: normalize(t, x0).codewords)
+    assert got == _outcome(normalize_oracle, words, p, x0)
+    assert (x0 in t) == (x0 in set(words))
+    sigma = tuple(data.draw(st.permutations(range(n))))
+    assert permute(t, sigma).codewords == permute_oracle(words, sigma)
+    signs = tuple(data.draw(st.sampled_from([-1, 1])) for _ in range(n))
+    assert reflect(t, signs).codewords == reflect_oracle(words, p, signs)
+    for p2 in (d for d in range(1, p + 1) if p % d == 0):
+        assert is_periodic_with(t, p2) == periodic_oracle(words, n, p, p2), p2
+
+
+@PROFILE
+@given(case=word_sets(), block=st.sampled_from([1, 2, 5, 4096]))
+def test_lattice_check_matches_subgroup_closure(case, block):
+    # short blocks put the generators found, and the rows skipped, across blocks
+    n, p, words = case
+    want = lattice_tiling_oracle(words, n, p)
+    with mock.patch.object(lattice, "_BLOCK", block):
+        got = _outcome(is_lattice_tiling, PeriodicTiling(n=n, p=p, codewords=words))
+    assert got == (("ValueError", want) if isinstance(want, str) else want)
+
+
+@PROFILE
+@given(data=st.data())
+def test_window_matches_subgroup_closure(data):
+    n, p = data.draw(st.sampled_from(DIMS))
+    entry = st.integers(-p, p)
+    rows = data.draw(st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n + 2))
+    if data.draw(st.booleans()):
+        # the lattice of rows and p*I: p-periodic by construction
+        units = [tuple(p if j == i else 0 for j in range(n)) for i in range(n)]
+        rows = [tuple(r) for r in _hnf(rows + units)]
+    rows = rows[:n]
+    if _hnf(rows) is None:
+        return
+    lat = IntegerLattice(n=n, generator=tuple(rows))
+    periodic = all(contains(lat, tuple(p if j == i else 0 for j in range(n))) for i in range(n))
+    if not periodic:
+        with pytest.raises(ValueError):
+            window(lat, p)
+        return
+    want = subgroup_oracle([tuple(v % p for v in r) for r in rows], n, p)
+    assert window(lat, p) == want
+
+
+@PROFILE
+@given(case=word_sets(), data=st.data())
+def test_file_round_trip_matches_oracle(tmp_path, case, data):
+    n, p, words = case
+    t = PeriodicTiling(n=n, p=p, codewords=words)
+    path = tmp_path / "t.tiling"
+    write_tiling(t, path)
+    text = path.read_bytes()
+    assert text == file_oracle(n, p, words)
+    assert read_tiling(path) == t
+    # the same rows in a looser spelling go through the per-row reader
+    lines = text.decode("ascii").split("\n")
+    gap = data.draw(st.sampled_from(["  ", "\t", " +"]))
+    body = "\n".join(line.replace(" ", gap) for line in lines[4:])
+    path.write_text("\n".join(lines[:4]) + "\n" + body, encoding="ascii")
+    assert read_tiling(path) == t
+
+
+@PROFILE
+@given(case=word_sets())
+def test_witness_and_audit_extraction_match_oracle(case):
+    n, p, words = case
+    t = PeriodicTiling(n=n, p=p, codewords=words)
+    report = verify(t)
+    if report.first_witness is not None:
+        cell, covering = report.first_witness
+        assert covering == tuple(w for w in words if torus_covers_oracle(w, cell, p))
+    if (0,) * n in set(words):
+        fake = VerificationReport(True, p**n, 0, 0)
+        audit = structural_audit(t, fake)
+        assert (audit.f1_pairs, audit.f2_triples) == f1_f2_oracle(words)
+
+
+def test_strategies_reach_every_kind_of_case():
+    # the drawn cases include lattice tilings, tilings that are no lattice,
+    # subgroups too small or large to tile, and sets that are neither
+    seen = set()
+
+    @PROFILE
+    @given(case=word_sets())
+    def collect(case):
+        n, p, words = case
+        t = PeriodicTiling(n=n, p=p, codewords=words)
+        seen.add((verify(t).is_tiling, type(lattice_tiling_oracle(words, n, p)).__name__))
+
+    collect()
+    assert seen >= {(True, "bool"), (False, "bool"), (False, "str")}
+    assert any(lattice_tiling_oracle(w, n, p) is False for n, p, w in REAL)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from halfcross import lattice
 from halfcross.lattice import (
     IntegerLattice,
     LatticeFormatError,
@@ -216,3 +217,15 @@ def test_lattice_file_rejects_garbage(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(LatticeFormatError):
             read_lattice(path)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])
+def test_is_lattice_tiling_checks_every_block(monkeypatch, block):
+    # move each nonzero window point off the lattice in turn: wherever it sits
+    # among the blocks, the scan must reach it
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    words = tuple(sorted(LAMBDA2_WINDOW))
+    assert is_lattice_tiling(PeriodicTiling(n=2, p=12, codewords=words))
+    for x in words[1:]:
+        moved = (set(words) - {x}) | {(x[0], (x[1] + 1) % 12)}
+        assert not is_lattice_tiling(PeriodicTiling(n=2, p=12, codewords=tuple(moved))), x

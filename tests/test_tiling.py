@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from halfcross.geometry import torus_covers, upsilon_offsets
+import halfcross.tiling as tiling_module
 from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
     TilingFormatError,
+    _count_runs,
     _mark_tables,
     _min_torus_cross_distance,
     _write_marks,
@@ -108,6 +110,24 @@ def test_verify_oracle_random_small():
             for k in (rng.randrange(1, max(2, fit + 2)), rng.randrange(fit + 1, p**n + 1)):
                 words = tuple(sorted(rng.sample(cells, k)))
                 assert_matches_oracle(PeriodicTiling(n=n, p=p, codewords=words))
+
+
+@pytest.mark.parametrize("scan_slice", [1, 2, 3, 7])
+def test_verify_scans_in_short_slices(monkeypatch, scan_slice):
+    # runs and mismatches that straddle slice boundaries must count once
+    monkeypatch.setattr(tiling_module, "_SCAN_SLICE", scan_slice)
+    rng = np.random.default_rng(scan_slice)
+    for _ in range(50):
+        arr = np.sort(rng.integers(0, 12, size=rng.integers(0, 30))).astype(np.int32)
+        values, counts = np.unique(arr, return_counts=True)
+        assert _count_runs(arr) == (len(values), int((counts > 1).sum()))
+    base = set(LAMBDA2_WORDS)
+    for words in (base, base - {(3, 6)}, (base - {(3, 6)}) | {(4, 6)}, base | {(5, 5)}):
+        assert_matches_oracle(PeriodicTiling(n=2, p=12, codewords=tuple(sorted(words))))
+    cells = list(itertools.product(range(4), repeat=3))
+    for k in (1, 3, 8, 20):
+        words = tuple(sorted(map(tuple, rng.permutation(cells)[:k].tolist())))
+        assert_matches_oracle(PeriodicTiling(n=3, p=4, codewords=words))
 
 
 def test_outer_sum_marks_enumerate_upsilon():
@@ -382,3 +402,34 @@ def test_periodic_tiling_validation():
         PeriodicTiling(n=2, p=4, codewords=((0, 0, 0),))
     with pytest.raises(ValueError):
         PeriodicTiling(n=2, p=4, codewords=((0, 0), (0, 0)))
+
+
+def test_periodic_tiling_array_storage():
+    shuffled = np.array(LAMBDA2_WORDS[::-1], dtype=np.int64)
+    t = PeriodicTiling(n=2, p=12, codewords=shuffled)
+    assert t.words.dtype == np.uint8 and t.words.flags.c_contiguous
+    assert not t.words.flags.writeable
+    assert t.codewords == LAMBDA2_WORDS and t.codewords is t.codewords
+    assert t == lambda2_tiling() and hash(t) == hash(lambda2_tiling())
+    assert t != PeriodicTiling(n=2, p=24, codewords=LAMBDA2_WORDS)
+    assert (3, 6) in t and [9, 10] in t
+    assert (3, 7) not in t and (3, 18) not in t and (-9, 6) not in t and (3,) not in t
+    assert (3.5, 6) not in t and (2**64, 6) not in t and (2**63, 6) not in t
+    # every unsigned width orders rows lexicographically, first entry first
+    for p, dtype in ((300, np.uint16), (70_000, np.uint32), (2**40, np.uint64)):
+        words = ((p - 1, 0), (0, p - 1), (1, 0), (0, 256), (256, 1))
+        big = PeriodicTiling(n=2, p=p, codewords=words)
+        assert big.words.dtype == dtype
+        assert big.codewords == tuple(sorted(words))
+        assert (p - 1, 0) in big and (p - 1, 1) not in big
+    with pytest.raises(ValueError, match="below 2"):
+        PeriodicTiling(n=1, p=2**63, codewords=())
+    with pytest.raises(ValueError, match=r"codeword \(0, 99999999999999999999\) outside"):
+        PeriodicTiling(n=2, p=12, codewords=((0, 1), (0, 99999999999999999999)))
+    # the first offending codeword in the given order is named
+    with pytest.raises(ValueError, match=r"codeword \(0, 12\) outside"):
+        PeriodicTiling(n=2, p=12, codewords=((0, 1), (0, 12), (0, 1)))
+    with pytest.raises(ValueError, match=r"duplicate codeword \(0, 1\)"):
+        PeriodicTiling(n=2, p=12, codewords=((0, 1), (0, 1), (0, 12)))
+    with pytest.raises(ValueError, match=r"duplicate codeword \(0, 1\)"):
+        PeriodicTiling(n=2, p=12, codewords=((0, 1), (0, 1), (0,)))
