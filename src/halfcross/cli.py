@@ -136,24 +136,20 @@ def cmd_exist(args) -> int:
     except ValueError as exc:
         return _error(exc, EXIT_USAGE)
     cert = tiling.nonexistence_certificate(n)
-    # numbers past Python's digit limit print in power form
     forced = cert.forced_period
-    shape = tiling.int_text(cert.shape_size, f"2^{n}*{n + 1}")
-    window = tiling.int_text(cert.window_size, f"{forced}^{n}")
+    print(f"n: {n}")
     if not adm.admissible:
-        print(f"n: {n}")
         print("admissible: no")
         print(f"certificate: {cert.conclusion}")
-        print(f"no tiling: forced period {forced}, {shape} does not divide {window}")
+        print(f"no tiling: forced period {forced}, "
+              f"{cert.shape_text} does not divide {cert.window_text}")
         return EXIT_NEGATIVE
-    print(f"n: {n}")
     print(f"admissible: yes (n = {adm.base}^{adm.t} - 1)")
     print(f"certificate: {cert.conclusion}")
     # the construction's window is the forced one; build a witness only
     # when that window fits the verification budget
-    if cert.window_size > tiling.DEFAULT_CELL_BUDGET:
-        count = tiling.int_text(cert.window_size // cert.shape_size, f"{window}/({shape})")
-        print(f"witness: construction gives {count} "
+    if tiling.window_exceeds(forced, n, tiling.DEFAULT_CELL_BUDGET):
+        print(f"witness: construction gives {cert.count_text} "
               f"codewords over Z_{forced}^{n}; window too large to verify here")
         return EXIT_OK
     if adm.base == 2:

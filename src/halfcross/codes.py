@@ -1,12 +1,16 @@
 """Block codes over Z_2 and Z_3: Hamming generation, perfectness, derived codes.
 
 Codes are stored as explicit codeword lists (desk scale).  Generated Hamming
-codes use a fixed parity-check column order so output is byte-reproducible.
+codes use a fixed parity-check column order so output is byte-reproducible,
+and are encoded systematically: the unit columns of the parity-check matrix
+are the check positions, every other position is free.  One radius-1 sphere
+enumeration serves both the perfectness check and decoding.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -33,7 +37,6 @@ class BlockCode:
     q: int
     length: int
     codewords: tuple[Point, ...]
-    linear: bool | None = None
 
     def __post_init__(self):
         if self.q not in (2, 3):
@@ -54,49 +57,23 @@ class BlockCode:
         return len(self.codewords)
 
 
-def _parity_check_columns(q: int, t: int, projective: bool) -> list[tuple[int, ...]]:
-    # All nonzero t-vectors over Z_q in ascending numeric order (big-endian
-    # digit reading); for projective=True only those whose first nonzero
-    # entry is 1.
-    cols = [col for col in product(range(q), repeat=t) if any(col)]
-    return [col for col in cols if not projective or next(s for s in col if s) == 1]
-
-
-def _null_space_codewords(h: np.ndarray, q: int) -> list[Point]:
-    # Enumerate {x : h x^T = 0 mod q} by Gaussian elimination over GF(q).
-    h = h.copy() % q
-    t, n = h.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, t):
-            if h[r, col] % q != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        h[[row, sel]] = h[[sel, row]]
-        inv = pow(int(h[row, col]), -1, q)
-        h[row] = (h[row] * inv) % q
-        for r in range(t):
-            if r != row and h[r, col] % q != 0:
-                h[r] = (h[r] - h[r, col] * h[row]) % q
-        pivots.append(col)
-        row += 1
-        if row == t:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if q ** len(free) > MAX_CODEWORDS:
-        raise ValueError(f"code with {q}^{len(free)} codewords exceeds desk scale")
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-h[r, fc]) % q
-    # with no free column, product yields the one empty combination
-    combos = np.array(list(product(range(q), repeat=len(free))), dtype=np.int64)
-    return sorted(tuple(int(s) for s in w) for w in (combos @ basis) % q)
+def _hamming(q: int, t: int) -> BlockCode:
+    # Parity-check columns: the nonzero t-vectors over Z_q whose first nonzero
+    # entry is 1, in ascending numeric order (big-endian digits).  The unit
+    # columns mark the check positions and every other position is free, so
+    # the code is systematic: x_check = -H_free x_free mod q.
+    cols = [c for c in product(range(q), repeat=t) if any(c) and next(filter(None, c)) == 1]
+    check = [cols.index(tuple(int(i == r) for i in range(t))) for r in range(t)]
+    free = [j for j in range(len(cols)) if j not in check]
+    k = len(free)
+    if q**k > MAX_CODEWORDS:
+        raise ValueError(f"code with {q}^{k} codewords exceeds desk scale")
+    # -H_free^T; the guard keeps k (q-1)^2 below 256, so uint8 sums never wrap
+    neg = ((-np.array(cols, dtype=np.int64)[free]) % q).astype(np.uint8)
+    x = np.zeros((q**k, len(cols)), dtype=np.uint8)
+    x[:, free] = np.indices((q,) * k, dtype=np.uint8).reshape(k, q**k).T
+    x[:, check] = x[:, free] @ neg % q
+    return BlockCode(q=q, length=len(cols), codewords=tuple(sorted(zip(*x.T.tolist()))))
 
 
 def binary_hamming(t: int) -> BlockCode:
@@ -112,10 +89,7 @@ def binary_hamming(t: int) -> BlockCode:
         raise ValueError(f"length {n} exceeds guard {MAX_LENGTH}")
     if t == 1:
         warnings.warn("binary_hamming(1) is the degenerate length-1 code {0}")
-        return BlockCode(q=2, length=1, codewords=((0,),), linear=True)
-    h = np.array(_parity_check_columns(2, t, projective=False), dtype=np.int64).T
-    words = _null_space_codewords(h, 2)
-    return BlockCode(q=2, length=n, codewords=tuple(words), linear=True)
+    return _hamming(2, t)
 
 
 def ternary_hamming(t: int) -> BlockCode:
@@ -129,17 +103,23 @@ def ternary_hamming(t: int) -> BlockCode:
     nu = (3**t - 1) // 2
     if nu > MAX_TERNARY_LENGTH:
         raise ValueError(f"length {nu} exceeds guard {MAX_TERNARY_LENGTH}")
-    if t == 1:
-        return BlockCode(q=3, length=1, codewords=((0,),), linear=True)
-    h = np.array(_parity_check_columns(3, t, projective=True), dtype=np.int64).T
-    words = _null_space_codewords(h, 3)
-    return BlockCode(q=3, length=nu, codewords=tuple(words), linear=True)
+    return _hamming(3, t)
 
 
 def min_hamming_distance(code: BlockCode) -> int:
     """Minimum pairwise Hamming distance; needs at least two codewords."""
     words = np.array(code.codewords, dtype=np.int8)
     return pairwise_minimum(words, lambda a, b: (a != b).sum(axis=-1))
+
+
+def _sphere(word: Point, q: int) -> Iterator[Point]:
+    # The radius-1 Hamming sphere around word: the word itself, then each
+    # single-symbol change, ordered by position and then by symbol.
+    yield word
+    for i, wi in enumerate(word):
+        for s in range(q):
+            if s != wi:
+                yield word[:i] + (s,) + word[i + 1 :]
 
 
 def is_perfect(code: BlockCode) -> tuple[bool, str]:
@@ -157,17 +137,10 @@ def is_perfect(code: BlockCode) -> tuple[bool, str]:
         )
     seen: set[Point] = set()
     for w in code.codewords:
-        if w in seen:
-            return False, f"spheres overlap at {w}"
-        seen.add(w)
-        for i in range(n):
-            for s in range(q):
-                if s == w[i]:
-                    continue
-                v = w[:i] + (s,) + w[i + 1 :]
-                if v in seen:
-                    return False, f"spheres overlap at {v}"
-                seen.add(v)
+        for v in _sphere(w, q):
+            if v in seen:
+                return False, f"spheres overlap at {v}"
+            seen.add(v)
     return True, "perfect: sphere packing covers all words exactly once"
 
 
@@ -205,16 +178,7 @@ def decode_within_1(code: BlockCode, word: Point) -> Point | None:
     if any(s < 0 or s >= code.q for s in word):
         raise ValueError(f"word {word} has symbols outside Z_{code.q}")
     table = set(code.codewords)
-    if word in table:
-        return word
-    for i in range(code.length):
-        for s in range(code.q):
-            if s == word[i]:
-                continue
-            v = word[:i] + (s,) + word[i + 1 :]
-            if v in table:
-                return v
-    return None
+    return next((v for v in _sphere(word, code.q) if v in table), None)
 
 
 def write_code(code: BlockCode, path: str | Path) -> None:

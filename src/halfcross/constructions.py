@@ -4,8 +4,11 @@ Binary route: a perfect code C of length n = 2^t - 1 gives the tiling 2C over
 (Z_4)^n, and back via halving (or the 0/1 vs 2/3 collapse for tilings with
 odd entries).  Ternary route: a perfect code of length nu gives a tiling of
 (Z_12)^{2 nu} as the image of a symbol-to-pair embedding plus the lattice
-spanned by 3e_{2i-1}+2e_{2i} and 4e_{2i}.  The adjustment table used by the
-ternary locator is embedded as literal data and re-validated on import.
+spanned by 3e_{2i-1}+2e_{2i} and 4e_{2i}.  Both tile locators reduce the
+cell to a word of the code's alphabet, decode it within radius 1 and lift the
+codeword back next to the cell.  The adjustment table used by the ternary
+lift is embedded as literal data and re-validated on import against the
+shape rule of :func:`geometry.covers`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ ADJUST = {
     (1, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
 }
 
-_CLASS_OF = {pair: rep for rep, pairs in CLASSES.items() for pair in pairs}
+#: psi as a table: each pair's class, named by the symbol s whose PHI[s] keys it
+_CLASS_SYMBOL = {pair: s for s, rep in PHI.items() for pair in CLASSES[rep]}
 #: row s holds PHI[s], so a table lookup embeds a whole code at once
 _PHI_ROWS = np.array([PHI[s] for s in range(3)], dtype=np.uint8)
 _LAMBDA2 = lat.lambda_lattice(1)
@@ -67,13 +71,9 @@ def _validate_class_table() -> None:
         raise RuntimeError("adjust table does not cover all 12 pairs")
     for x, row in ADJUST.items():
         for rep, v in row.items():
-            diff = (v[0] - x[0], v[1] - x[1])
-            if any(d < -1 or d > 2 for d in diff):
-                raise RuntimeError(f"adjust[{x}][{rep}] = {v} breaks the offset range")
-            exceptional = sum(1 for d in diff if d in (-1, 2))
-            if exceptional > 1:
-                raise RuntimeError(f"adjust[{x}][{rep}] = {v} has two exceptional shifts")
-            if _CLASS_OF[x] == rep and any(d not in (0, 1) for d in diff):
+            if not covers(v, x):
+                raise RuntimeError(f"adjust[{x}][{rep}] = {v} does not cover {x}")
+            if PHI[_CLASS_SYMBOL[x]] == rep and not all(0 <= b - a <= 1 for a, b in zip(x, v)):
                 raise RuntimeError(
                     f"adjust[{x}][{rep}] = {v} must shift by 0/1 within its own class"
                 )
@@ -99,9 +99,9 @@ def phi_word(word: Point) -> Point:
 
 def psi(pair: tuple[int, int]) -> int:
     """Class index (0, 1, or 2) of a pair from {0,1,2} x {0,1,2,3}."""
-    if pair not in _CLASS_OF:
+    if pair not in _CLASS_SYMBOL:
         raise ValueError(f"pair must lie in Z~3 x Z~4, got {pair}")
-    return {(0, 0): 0, (1, 2): 1, (2, 0): 2}[_CLASS_OF[pair]]
+    return _CLASS_SYMBOL[pair]
 
 
 def psi_word(point: Point) -> Point:
@@ -215,15 +215,10 @@ def locate_tile_ternary(a: Point, code: BlockCode) -> Point:
     if len(a) != 2 * code.length:
         raise ValueError(f"point length {len(a)} != 2 * code length {code.length}")
     b, y = reduce_to_representative(a)
-    alpha = psi_word(b)
-    w = decode_within_1(code, alpha)
+    w = decode_within_1(code, psi_word(b))
     if w is None:
         raise ValueError("decode failure: the supplied code is not perfect")
-    out: list[int] = []
-    for i in range(code.length):
-        pair = (b[2 * i], b[2 * i + 1])
-        v = ADJUST[pair][PHI[w[i]]]
-        out.extend(v)
+    out = [v for i, s in enumerate(w) for v in ADJUST[b[2 * i], b[2 * i + 1]][PHI[s]]]
     x = tuple(o - yi for o, yi in zip(out, y))
     if not covers(x, a):
         raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
@@ -231,23 +226,20 @@ def locate_tile_ternary(a: Point, code: BlockCode) -> Point:
 
 
 def locate_tile_binary(a: Point, code: BlockCode) -> Point:
-    """The point 2w + 4v of the binary-construction tiling covering the cell a.
+    """The point 2c + 4v of the binary-construction tiling covering the cell a.
 
-    Each codeword admits exactly one candidate congruent to 2c mod 4 inside
-    the per-coordinate range {a_i-1, .., a_i+2}; exactly one candidate covers.
+    Constructive: reduce a to its core word u_i = ceil(a_i / 2) mod 2, decode
+    u in the perfect code to c, then lift each c_i to the one value in
+    {a_i-1, .., a_i+2} congruent to 2c_i mod 4.
     """
     _require_perfect(code, 2)
     if len(a) != code.length:
         raise ValueError(f"point length {len(a)} != code length {code.length}")
-    for c in code.codewords:
-        x = []
-        for ai, ci in zip(a, c):
-            lo = ai - 1
-            # unique value in {lo, .., lo+3} congruent to 2*ci mod 4
-            x.append(lo + ((2 * ci - lo) % 4))
-        if covers(tuple(x), a):
-            return tuple(x)
-    raise RuntimeError("no codeword covers the point; code is not perfect?")
+    c = decode_within_1(code, tuple((ai + 1) // 2 % 2 for ai in a))
+    x = tuple(ai - 1 + (2 * ci - ai + 1) % 4 for ai, ci in zip(a, c))
+    if not covers(x, a):
+        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
+    return x
 
 
 _validate_class_table()

@@ -51,19 +51,20 @@ def window_exceeds(p: int, n: int, limit: int) -> bool:
     return n >= limit.bit_length() or p**n > limit
 
 
-def int_text(value: int, form: str) -> str:
-    """Decimal digits of value, or ``form`` past Python's int-to-str digit limit."""
+def _digits(log10: float, build) -> str:
+    """Decimal digits of build(), or "" past Python's int-to-str digit limit;
+    build() is not called when log10, the value's base-10 logarithm, already
+    shows that (the cap is Python's default where the limit is off)."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     try:
-        return str(value)
-    except ValueError:
-        return form
+        return str(build()) if log10 <= cap + 1 else ""
+    except ValueError:  # within the margin but past the limit
+        return ""
 
 
 def power_text(p: int, n: int) -> str:
-    """"p^n = <digits>", or "p^n" past the digit limit (then p^n is not built
-    when n log10 p shows it; the cap is Python's default where the limit is off)."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    digits = int_text(p**n, "") if n * math.log10(p) <= cap + 1 else ""
+    """"p^n = <digits>", or "p^n" past the digit limit (then p^n is not built)."""
+    digits = _digits(n * math.log10(p), lambda: p**n)
     return f"{p}^{n} = {digits}" if digits else f"{p}^{n}"
 
 
@@ -176,13 +177,27 @@ class VerificationReport:
 class NonexistenceCertificate:
     n: int
     forced_period: int
-    shape_size: int
-    window_size: int
     divides: bool
     conclusion: str
+    #: 2^n(n+1) and forced^n in digits, or "2^n*(n+1)" and "forced^n" past the limit
+    shape_text: str
+    window_text: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def shape_size(self) -> int:
+        return 2**self.n * (self.n + 1)
+
+    @property
+    def window_size(self) -> int:
+        return self.forced_period**self.n
+
+    @property
+    def count_text(self) -> str:
+        """window/shape, the codeword count of a tiling of the forced window
+        (when shape divides window), in digits or as "window/(shape)"."""
+        log10 = self.n * math.log10(self.forced_period / 2) - math.log10(self.n + 1)
+        return (_digits(log10, lambda: self.window_size // self.shape_size)
+                or f"{self.window_text}/({self.shape_text})")
 
 
 @dataclass(frozen=True)
@@ -437,15 +452,16 @@ def nonexistence_certificate(n: int) -> NonexistenceCertificate:
 
     Any tiling is periodic with period 4 for odd n and 12 for even n, so the
     shape size 2^n(n+1) must divide the forced window size; when it does not,
-    no integer tiling exists.
+    no integer tiling exists.  No number is built unless its digits print.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     forced = 4 if n % 2 == 1 else 12
-    shape_size = 2**n * (n + 1)
-    window_size = forced**n
-    divides = window_size % shape_size == 0
-    shape = int_text(shape_size, f"2^{n}*{n + 1}")
+    # forced^n is 2^(2n) or 2^(2n) 3^n (then n + 1 is odd), so 2^n(n+1)
+    # divides it exactly when n + 1 is a power of 2 or of 3: when n is admissible
+    divides = admissible_dimension(n).admissible
+    shape = (_digits(n * math.log10(2) + math.log10(n + 1), lambda: 2**n * (n + 1))
+             or f"2^{n}*{n + 1}")
     if divides:
         conclusion = (
             f"inconclusive: {shape} divides {forced}^{n}; "
@@ -459,10 +475,10 @@ def nonexistence_certificate(n: int) -> NonexistenceCertificate:
     return NonexistenceCertificate(
         n=n,
         forced_period=forced,
-        shape_size=shape_size,
-        window_size=window_size,
         divides=divides,
         conclusion=conclusion,
+        shape_text=shape,
+        window_text=_digits(n * math.log10(forced), lambda: forced**n) or f"{forced}^{n}",
     )
 
 

@@ -209,6 +209,29 @@ def test_exist_inadmissible(capsys):
 
 
 @pytest.mark.parametrize(
+    "n, want, exit_code",
+    [
+        (100000000, (
+            "n: 100000000\nadmissible: no\n"
+            "certificate: no integer tiling: forced period 12, "
+            "2^100000000*100000001 does not divide 12^100000000\n"
+            "no tiling: forced period 12, 2^100000000*100000001 does not divide 12^100000000\n"
+        ), EXIT_NEGATIVE),
+        (134217727, (  # 2^27 - 1
+            "n: 134217727\nadmissible: yes (n = 2^27 - 1)\n"
+            "certificate: inconclusive: 2^134217727*134217728 divides 4^134217727; "
+            "existence is settled by construction\n"
+            "witness: construction gives 4^134217727/(2^134217727*134217728) codewords "
+            "over Z_4^134217727; window too large to verify here\n"
+        ), EXIT_OK),
+    ],
+)
+def test_exist_huge_n_builds_no_number(capsys, n, want, exit_code):
+    code, stdout, _ = run(capsys, "exist", "--n", str(n))
+    assert (code, stdout) == (exit_code, want)
+
+
+@pytest.mark.parametrize(
     "n, err",
     [
         ("9", "error: window 12^9 = 5159780352 exceeds budget 429981696\n"),

@@ -170,6 +170,19 @@ def test_code_file_round_trip(tmp_path):
     assert back.codewords == code.codewords
 
 
+@pytest.mark.filterwarnings("ignore:binary_hamming\\(1\\)")
+@pytest.mark.parametrize(
+    "make, t", [(binary_hamming, t) for t in (1, 2, 3, 4)] + [(ternary_hamming, t) for t in (1, 2, 3)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_generated_code_file_round_trip_is_equal(tmp_path, make, t):
+    # the code read back is the code written, field for field
+    code = make(t)
+    path = tmp_path / "h.code"
+    write_code(code, path)
+    assert read_code(path) == code
+
+
 def test_code_file_bytes_frozen(tmp_path):
     path = tmp_path / "h2.code"
     write_code(binary_hamming(2), path)

@@ -174,16 +174,42 @@ def test_locate_ternary_raises_on_non_covering_result(monkeypatch):
         locate_tile_ternary((1, 1), ternary_hamming(1))
 
 
+@pytest.mark.filterwarnings("ignore:binary_hamming\\(1\\)")
 def test_locate_binary_covers_window():
-    code = binary_hamming(3)
-    tiling = from_binary_perfect(code)
-    words = tiling.codeword_set()
+    # t = 3 near the origin, t = 4 at the benchmark's scale, and the t = 1 code {0}
     rng = random.Random(20240819)
-    for _ in range(500):
-        a = tuple(rng.randrange(-8, 9) for _ in range(7))
-        x = locate_tile_binary(a, code)
-        assert covers(x, a)
-        assert tuple(v % 4 for v in x) in words
+    for t, box, queries in ((3, 8, 500), (4, 10**6, 40), (1, 8, 50)):
+        code = binary_hamming(t)
+        words = from_binary_perfect(code).codeword_set()
+        for _ in range(queries):
+            a = tuple(rng.randrange(-box, box + 1) for _ in range(code.length))
+            x = locate_tile_binary(a, code)
+            assert covers(x, a)
+            assert tuple(v % 4 for v in x) in words
+
+
+def test_locate_binary_raises_on_non_covering_result(monkeypatch):
+    # the cover check on the result must survive python -O
+    from halfcross import constructions
+
+    monkeypatch.setattr(constructions, "covers", lambda x, a: False)
+    with pytest.raises(RuntimeError):
+        locate_tile_binary((0, 0, 0), binary_hamming(2))
+
+
+@pytest.mark.parametrize(
+    "pair, rep, bad, message",
+    [((0, 3), (0, 0), (0, 8), "does not cover"),  # an entry outside -1..2
+     ((0, 3), (2, 0), (-1, 2), "does not cover"),  # two exceptional entries
+     ((0, 0), (0, 0), (0, 2), "own class")],  # an exceptional entry within its own class
+    ids=["range", "two-exceptional", "own-class"],
+)
+def test_class_table_validation_catches_mistranscription(monkeypatch, pair, rep, bad, message):
+    from halfcross import constructions
+
+    monkeypatch.setitem(constructions.ADJUST, pair, {**constructions.ADJUST[pair], rep: bad})
+    with pytest.raises(RuntimeError, match=message):
+        constructions._validate_class_table()
 
 
 def test_locators_reject_bad_dimensions():

@@ -307,6 +307,13 @@ def test_certificate_agrees_with_admissibility():
         assert nonexistence_certificate(n).divides == admissible_dimension(n).admissible
 
 
+def test_certificate_divides_matches_integer_division():
+    # n + 1 = 2^a or 3^b decides the divisibility without building forced^n
+    for n in range(1, 400):
+        c = nonexistence_certificate(n)
+        assert c.divides == (c.window_size % c.shape_size == 0), n
+
+
 def test_spencer_bound_values():
     assert spencer_bound(8) == 8
     assert spencer_bound(2) == 0
