@@ -57,11 +57,8 @@ from .constructions import (
     locate_tile_binary,
     locate_tile_ternary,
     phi,
-    phi_word,
     psi,
-    psi_word,
     punctured_construction,
-    reduce_to_representative,
     to_binary_perfect,
 )
 from .search import SearchConfig, divisibility_precheck, search_tilings

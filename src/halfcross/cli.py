@@ -112,9 +112,15 @@ def cmd_verify(args) -> int:
 
 def cmd_locate(args) -> int:
     code = codes.read_code(args.code)
+    binary = args.tiling_method == "binary"
+    try:
+        # the locators trust the code, so it is certified once here
+        constructions._require_perfect(code, 2 if binary else 3)
+    except ValueError as exc:
+        return _error(exc, EXIT_PRECONDITION)
     try:
         point = tuple(int(v) for v in args.point.split())
-        if args.tiling_method == "binary":
+        if binary:
             x = constructions.locate_tile_binary(point, code)
             p = 4
         else:

@@ -127,7 +127,8 @@ def is_perfect(code: BlockCode) -> tuple[bool, str]:
 
     Checked as: sphere-size times code-size equals q^n, and the spheres are
     pairwise disjoint (equivalent to minimum distance >= 3).  Returns the
-    verdict with the reason for a failure.
+    verdict with the reason for a failure, which names the first sphere word,
+    in the order of :func:`_sphere` over the codewords, seen twice.
     """
     q, n = code.q, code.length
     sphere = 1 + n * (q - 1)
@@ -135,12 +136,22 @@ def is_perfect(code: BlockCode) -> tuple[bool, str]:
         return False, (
             f"size check failed: {len(code.codewords)} * {sphere} != {q}^{n}"
         )
-    seen: set[Point] = set()
-    for w in code.codewords:
-        for v in _sphere(w, q):
-            if v in seen:
-                return False, f"spheres overlap at {v}"
-            seen.add(v)
+    # every sphere word as a base-q integer (first entry most significant),
+    # in _sphere's order: the word, then per position each other symbol ascending
+    words = np.array(code.codewords, dtype=np.int64).reshape(-1, n)
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    other = np.arange(q - 1)
+    other = other + (other >= words[:, :, None])  # (k, n, q - 1) replacement symbols
+    centre = words @ weights
+    moved = centre[:, None, None] + (other - words[:, :, None]) * weights[:, None]
+    keys = np.concatenate([centre[:, None], moved.reshape(len(words), -1)], axis=1).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeat = ranked[1:] == ranked[:-1]
+    if repeat.any():
+        # a stable sort puts each key's first occurrence first among its equals
+        first = int(keys[order[1:][repeat].min()])
+        return False, f"spheres overlap at {tuple(first // int(w) % q for w in weights)}"
     return True, "perfect: sphere packing covers all words exactly once"
 
 

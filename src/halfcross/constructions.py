@@ -1,85 +1,75 @@
 """The maps between perfect codes and half-cross tilings, plus tile locators.
 
-Binary route: a perfect code C of length n = 2^t - 1 gives the tiling 2C over
-(Z_4)^n, and back via halving (or the 0/1 vs 2/3 collapse for tilings with
-odd entries).  Ternary route: a perfect code of length nu gives a tiling of
-(Z_12)^{2 nu} as the image of a symbol-to-pair embedding plus the lattice
-spanned by 3e_{2i-1}+2e_{2i} and 4e_{2i}.  Both tile locators reduce the
-cell to a word of the code's alphabet, decode it within radius 1 and lift the
-codeword back next to the cell.  The adjustment table used by the ternary
-lift is embedded as literal data and re-validated on import against the
-shape rule of :func:`geometry.covers`.
+Both constructions embed a perfect code of length nu symbol by symbol and add a
+lattice: 2C + 4Z^nu over Z_4 for a binary code, phi(C) + Lambda over Z_12 for a
+ternary one.  Each family is a route: the alphabet q, the embedding rows phi(s)
+in Z^m, the block lattice L (4Z, or Lambda_2 spanned by (3, 2) and (0, 4)) and
+the period p; its tiling is phi(C) + L^nu over (Z_p)^{m nu}.
+
+The locator tables are derived from the route, not transcribed.  Since
+Upsilon_m + L tiles Z^m, each residue b of Z^m / L (a block reduced by L's
+Hermite normal form) and each symbol s have exactly one lift offset d in
+Upsilon_m with b + d in phi(s) + L, and psi(b) is the one symbol whose offset
+lies in the core {0,1}^m; the derivation raises RuntimeError at import unless
+both hold.  A locator reduces each block of the cell, decodes the psi word
+within radius 1 and adds the decoded symbols' lift offsets to the cell.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from . import lattice as lat
 from .codes import BlockCode, decode_within_1, is_perfect
-from .geometry import Point, covers
+from .geometry import Point, covers, upsilon_offsets
 from .tiling import PeriodicTiling
 
 # pair representative of each ternary symbol
 PHI = {0: (0, 0), 1: (1, 2), 2: (2, 0)}
 
-# partition of {0,1,2} x {0,1,2,3} into three classes, keyed by representative
-CLASSES = {
-    (0, 0): ((0, 0), (0, 3), (2, 2), (2, 1)),
-    (1, 2): ((1, 2), (1, 1), (0, 1), (0, 2)),
-    (2, 0): ((2, 0), (1, 3), (2, 3), (1, 0)),
-}
 
-# ADJUST[pair][class representative] -> adjusted pair (kept unreduced, exactly
-# as printed; reduction mod 12 happens only at final storage)
-ADJUST = {
-    # class of (0, 0)
-    (0, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
-    (0, 3): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (2, 4)},
-    (2, 2): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 4)},
-    (2, 1): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 0)},
-    # class of (1, 2)
-    (1, 2): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 4)},
-    (1, 1): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 0)},
-    (0, 1): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (-1, 2)},
-    (0, 2): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (-1, 2)},
-    # class of (2, 0)
-    (2, 0): {(0, 0): (3, 2), (1, 2): (4, 0), (2, 0): (2, 0)},
-    (1, 3): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (2, 4)},
-    (2, 3): {(0, 0): (3, 2), (1, 2): (4, 4), (2, 0): (2, 4)},
-    (1, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
-}
+class _Route(NamedTuple):
+    """One code family: the tiling phi(C) + L^nu over (Z_p)^{m nu} and its tables."""
 
-#: psi as a table: each pair's class, named by the symbol s whose PHI[s] keys it
-_CLASS_SYMBOL = {pair: s for s, rep in PHI.items() for pair in CLASSES[rep]}
-#: row s holds PHI[s], so a table lookup embeds a whole code at once
-_PHI_ROWS = np.array([PHI[s] for s in range(3)], dtype=np.uint8)
-_LAMBDA2 = lat.lambda_lattice(1)
+    q: int
+    phi: np.ndarray  # (q, m) uint8, row s is phi(s)
+    p: int
+    hnf: list[list[int]]  # the block lattice L in Hermite normal form
+    psi: dict[Point, int]  # residue b -> psi(b)
+    lift: dict[Point, tuple[Point, ...]]  # residue b -> lift offset d of each symbol
 
 
-def _validate_class_table() -> None:
-    # The table's defining properties are re-derived here so a transcription
-    # error fails fast at import.
-    all_pairs = {(a, b) for a in range(3) for b in range(4)}
-    listed = [p for pairs in CLASSES.values() for p in pairs]
-    if sorted(listed) != sorted(all_pairs) or len(listed) != 12:
-        raise RuntimeError("classes do not partition Z~3 x Z~4")
-    for rep, pairs in CLASSES.items():
-        if rep not in pairs:
-            raise RuntimeError(f"class representative {rep} not in its class")
-    if set(ADJUST) != all_pairs:
-        raise RuntimeError("adjust table does not cover all 12 pairs")
-    for x, row in ADJUST.items():
-        for rep, v in row.items():
-            if not covers(v, x):
-                raise RuntimeError(f"adjust[{x}][{rep}] = {v} does not cover {x}")
-            if PHI[_CLASS_SYMBOL[x]] == rep and not all(0 <= b - a <= 1 for a, b in zip(x, v)):
-                raise RuntimeError(
-                    f"adjust[{x}][{rep}] = {v} must shift by 0/1 within its own class"
-                )
-            u = (v[0] - rep[0], v[1] - rep[1])
-            if not lat.contains(_LAMBDA2, u):
-                raise RuntimeError(f"adjust[{x}][{rep}] = {v}: {u} is not a lattice point")
+def _route(phi_rows: tuple[Point, ...], block: tuple[Point, ...], p: int) -> _Route:
+    """Derive a route's psi and lift tables; RuntimeError unless each residue has one
+    lift offset per symbol and exactly one symbol whose offset lies in the core."""
+    phi = np.array(phi_rows, dtype=np.int64)
+    q, m = phi.shape
+    hnf = lat._hnf(block)
+    residues = np.array(list(product(*(range(row[k]) for k, row in enumerate(hnf)))))
+    offsets = np.array(upsilon_offsets(m).offsets)
+    # hit[b, s, d]: b + d - phi(s) lies in L
+    diff = residues[:, None, None] + offsets[None, None] - phi[None, :, None]
+    hit = ~lat._reduce(hnf, diff.reshape(-1, m)).any(axis=1)
+    hit = hit.reshape(len(residues), q, len(offsets))
+    if (hit.sum(axis=2) != 1).any():
+        raise RuntimeError("Upsilon_m + L does not give each residue one offset per symbol")
+    lift = offsets[hit.argmax(axis=2)]
+    core = ((lift == 0) | (lift == 1)).all(axis=2)
+    if (core.sum(axis=1) != 1).any():
+        raise RuntimeError("a residue does not have exactly one symbol lifting within the core")
+    keys = list(map(tuple, residues.tolist()))
+    return _Route(
+        q, phi.astype(np.uint8), p, hnf,
+        psi=dict(zip(keys, core.argmax(axis=1).tolist())),
+        lift={b: tuple(map(tuple, d)) for b, d in zip(keys, lift.tolist())},
+    )
+
+
+_BINARY = _route(((0,), (2,)), ((4,),), 4)
+_TERNARY = _route(tuple(PHI[s] for s in range(3)), lat.lambda_lattice(1).generator, 12)
 
 
 def phi(symbol: int) -> tuple[int, int]:
@@ -89,67 +79,64 @@ def phi(symbol: int) -> tuple[int, int]:
     return PHI[symbol]
 
 
-def phi_word(word: Point) -> Point:
-    """Concatenated pair representatives of a ternary word (length doubles)."""
-    out: list[int] = []
-    for s in word:
-        out.extend(phi(s))
-    return tuple(out)
-
-
 def psi(pair: tuple[int, int]) -> int:
     """Class index (0, 1, or 2) of a pair from {0,1,2} x {0,1,2,3}."""
-    if pair not in _CLASS_SYMBOL:
+    if pair not in _TERNARY.psi:
         raise ValueError(f"pair must lie in Z~3 x Z~4, got {pair}")
-    return _CLASS_SYMBOL[pair]
-
-
-def psi_word(point: Point) -> Point:
-    """Apply psi to consecutive coordinate pairs of a 2*nu point."""
-    if len(point) % 2 != 0:
-        raise ValueError("point length must be even")
-    return tuple(
-        psi((point[2 * i], point[2 * i + 1])) for i in range(len(point) // 2)
-    )
-
-
-def reduce_to_representative(a: Point) -> tuple[Point, Point]:
-    """Shift a by a lattice point y so b = a + y has pairs in Z~3 x Z~4.
-
-    Works pairwise: subtract multiples of (3, 2), then of (0, 4).  Returns
-    (b, y) with y in the ternary-construction lattice.
-    """
-    if len(a) % 2 != 0:
-        raise ValueError("dimension must be even")
-    b: list[int] = []
-    y: list[int] = []
-    for i in range(len(a) // 2):
-        a1, a2 = a[2 * i], a[2 * i + 1]
-        b1 = a1 % 3
-        m = (b1 - a1) // 3
-        b2 = (a2 + 2 * m) % 4
-        l = (b2 - a2 - 2 * m) // 4
-        b.extend((b1, b2))
-        y.extend((3 * m, 2 * m + 4 * l))
-    return tuple(b), tuple(y)
+    return _TERNARY.psi[pair]
 
 
 def _code_array(code: BlockCode) -> np.ndarray:
     return np.array(code.codewords, dtype=np.uint8).reshape(-1, code.length)
 
 
-def _require_perfect(code: BlockCode, q: int) -> None:
+def _require_alphabet(code: BlockCode, q: int) -> None:
     if code.q != q:
         raise ValueError(f"expected a code over Z_{q}, got Z_{code.q}")
+
+
+def _require_perfect(code: BlockCode, q: int) -> None:
+    _require_alphabet(code, q)
     ok, reason = is_perfect(code)
     if not ok:
         raise ValueError(f"code is not perfect: {reason}")
 
 
+def _construct(code: BlockCode, route: _Route) -> PeriodicTiling:
+    # the embedded code translated by the window of L^nu mod p, as one broadcast
+    # sum; a repeated codeword raises RuntimeError
+    _require_perfect(code, route.q)
+    n = route.phi.shape[1] * code.length
+    embedded = route.phi[_code_array(code)].reshape(-1, n)
+    window = lat.window_array(lat._block_diagonal(route.hnf, code.length), route.p)
+    words = (embedded[:, None, :] + window.astype(np.uint8)[None, :, :]) % route.p
+    try:
+        return PeriodicTiling(n=n, p=route.p, codewords=words.reshape(-1, n))
+    except ValueError as exc:  # a duplicate codeword
+        raise RuntimeError("collision in embedded code + lattice window") from exc
+
+
+def _locate(a: Point, code: BlockCode, route: _Route) -> Point:
+    # reduce each block of a to its residue b, decode the psi word, lift by b's offsets
+    _require_alphabet(code, route.q)
+    m = route.phi.shape[1]
+    if len(a) != m * code.length:
+        raise ValueError(f"point length {len(a)} != {m * code.length}, {m} per code symbol")
+    residues = lat._reduce(route.hnf, np.array(a, dtype=object).reshape(-1, m))
+    b = list(map(tuple, residues.tolist()))
+    w = decode_within_1(code, tuple(route.psi[bi] for bi in b))
+    if w is None:
+        raise ValueError("decode failure: the supplied code is not perfect")
+    d = [v for bi, s in zip(b, w) for v in route.lift[bi][s]]
+    x = tuple(ai + di for ai, di in zip(a, d))
+    if not covers(x, a):
+        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
+    return x
+
+
 def from_binary_perfect(code: BlockCode) -> PeriodicTiling:
     """Tiling of (Z_4)^n with codewords 2c for each codeword c (all even)."""
-    _require_perfect(code, 2)
-    return PeriodicTiling(n=code.length, p=4, codewords=2 * _code_array(code))
+    return _construct(code, _BINARY)
 
 
 def to_binary_perfect(tiling: PeriodicTiling) -> BlockCode:
@@ -188,58 +175,29 @@ def punctured_construction(code: BlockCode) -> PeriodicTiling:
 def from_ternary_perfect(code: BlockCode) -> PeriodicTiling:
     """Tiling of (Z_12)^{2 nu} from a ternary perfect code of length nu.
 
-    Codewords are the embedded code translated by the full lattice window,
-    formed as one broadcast sum; a collision (a repeated codeword) raises
-    RuntimeError, so the count is 2^{2 nu} 3^{2 nu - t}.
+    Codewords are the embedded code translated by the full lattice window;
+    a collision (a repeated codeword) raises RuntimeError, so the count is
+    2^{2 nu} 3^{2 nu - t}.
     """
-    _require_perfect(code, 3)
-    nu = code.length
-    embedded = _PHI_ROWS[_code_array(code)].reshape(-1, 2 * nu)
-    lam = lat.window_array(lat.lambda_lattice(nu), 12).astype(np.uint8)
-    words = ((embedded[:, None, :] + lam[None, :, :]) % 12).reshape(-1, 2 * nu)
-    try:
-        return PeriodicTiling(n=2 * nu, p=12, codewords=words)
-    except ValueError as exc:  # a duplicate codeword
-        raise RuntimeError("collision in embedded code + lattice window") from exc
+    return _construct(code, _TERNARY)
 
 
 def locate_tile_ternary(a: Point, code: BlockCode) -> Point:
     """The tiling codeword (as an unreduced Z^n point) covering the cell a.
 
-    Constructive: reduce a to its pair representative b, read off the ternary
-    word, decode it in the perfect code, then adjust each pair toward the
-    decoded codeword's class via the embedded table and undo the reduction.
+    Constructive: reduce each pair of a to its residue b modulo Lambda_2, decode
+    the word of psi(b) in the perfect code, then add to each pair the lift offset
+    of its decoded symbol.  The code is not re-checked for perfectness.
     """
-    if len(a) % 2 != 0:
-        raise ValueError("dimension must be even")
-    if len(a) != 2 * code.length:
-        raise ValueError(f"point length {len(a)} != 2 * code length {code.length}")
-    b, y = reduce_to_representative(a)
-    w = decode_within_1(code, psi_word(b))
-    if w is None:
-        raise ValueError("decode failure: the supplied code is not perfect")
-    out = [v for i, s in enumerate(w) for v in ADJUST[b[2 * i], b[2 * i + 1]][PHI[s]]]
-    x = tuple(o - yi for o, yi in zip(out, y))
-    if not covers(x, a):
-        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
-    return x
+    return _locate(a, code, _TERNARY)
 
 
 def locate_tile_binary(a: Point, code: BlockCode) -> Point:
     """The point 2c + 4v of the binary-construction tiling covering the cell a.
 
-    Constructive: reduce a to its core word u_i = ceil(a_i / 2) mod 2, decode
-    u in the perfect code to c, then lift each c_i to the one value in
-    {a_i-1, .., a_i+2} congruent to 2c_i mod 4.
+    Constructive: reduce each a_i to its residue mod 4, decode the core word
+    psi(a_i mod 4) = ceil(a_i / 2) mod 2 in the perfect code to c, then lift each
+    c_i to the one value in {a_i-1, .., a_i+2} congruent to 2c_i mod 4.  The code
+    is not re-checked for perfectness.
     """
-    _require_perfect(code, 2)
-    if len(a) != code.length:
-        raise ValueError(f"point length {len(a)} != code length {code.length}")
-    c = decode_within_1(code, tuple((ai + 1) // 2 % 2 for ai in a))
-    x = tuple(ai - 1 + (2 * ci - ai + 1) % 4 for ai, ci in zip(a, c))
-    if not covers(x, a):
-        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
-    return x
-
-
-_validate_class_table()
+    return _locate(a, code, _BINARY)

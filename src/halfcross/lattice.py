@@ -94,20 +94,24 @@ def volume(lattice: IntegerLattice) -> int:
     return prod(row[k] for k, row in enumerate(_hnf(lattice.generator)))
 
 
+def _block_diagonal(block: Sequence[Point], nu: int) -> IntegerLattice:
+    """The lattice L^nu: nu diagonal copies of the m x m block generator of L."""
+    if nu < 1:
+        raise ValueError(f"nu must be >= 1, got {nu}")
+    m = len(block)
+    return IntegerLattice(n=m * nu, generator=tuple(
+        (0,) * (m * i) + tuple(row) + (0,) * (m * (nu - 1 - i))
+        for i in range(nu) for row in block
+    ))
+
+
 def lambda_lattice(nu: int) -> IntegerLattice:
     """The 2*nu-dimensional lattice spanned by 3e_{2i-1}+2e_{2i} and 4e_{2i}.
 
     This is the lattice underlying the ternary construction; its volume is
     12^nu and its period is 12.
     """
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    rows = tuple(
-        (0,) * (2 * i) + pair + (0,) * (2 * (nu - 1 - i))
-        for i in range(nu)
-        for pair in ((3, 2), (0, 4))
-    )
-    return IntegerLattice(n=2 * nu, generator=rows)
+    return _block_diagonal(((3, 2), (0, 4)), nu)
 
 
 def contains(lattice: IntegerLattice, x: Point) -> bool:

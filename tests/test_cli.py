@@ -155,6 +155,27 @@ def test_locate_commands(tmp_path, capsys):
     assert "codeword: 0 0 0 0 0 0 0" in stdout
 
 
+@pytest.mark.parametrize(
+    "method, make_code, point, reason",
+    [
+        # each point decodes in the given code, so only the code check can refuse it
+        ("ternary", lambda: codes.BlockCode(q=3, length=2, codewords=((0, 0),)), "1 1 0 0",
+         "code is not perfect: size check failed: 1 * 5 != 3^2"),
+        ("ternary", lambda: codes.binary_hamming(3), " ".join(["0"] * 14),
+         "expected a code over Z_3, got Z_2"),
+        ("binary", lambda: codes.BlockCode(q=2, length=3, codewords=((0, 0, 0),)), "0 0 0",
+         "code is not perfect: size check failed: 1 * 4 != 2^3"),
+    ],
+    ids=["ternary-not-perfect", "ternary-given-binary", "binary-not-perfect"],
+)
+def test_locate_refuses_unfit_code(tmp_path, capsys, method, make_code, point, reason):
+    path = tmp_path / "unfit.code"
+    codes.write_code(make_code(), path)
+    code, stdout, err = run(capsys, "locate", "--tiling-method", method,
+                            "--code", str(path), "--point", point)
+    assert (code, stdout, err) == (EXIT_PRECONDITION, "", f"error: {reason}\n")
+
+
 def test_exist_admissible(tmp_path, capsys):
     out = tmp_path / "w7.tiling"
     code, stdout, _ = run(capsys, "exist", "--n", "7", "--out", str(out))

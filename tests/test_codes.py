@@ -91,7 +91,7 @@ def test_ternary_hamming_sizes():
 
 
 def test_ternary_hamming_perfect():
-    for t in (1, 2):
+    for t in (1, 2, 3):
         ok, reason = is_perfect(ternary_hamming(t))
         assert ok, reason
     assert min_hamming_distance(ternary_hamming(2)) == 3

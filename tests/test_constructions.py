@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from halfcross import lattice as lat
+from halfcross import constructions
 from halfcross.codes import BlockCode, binary_hamming, is_perfect, ternary_hamming
 from halfcross.constructions import (
     from_binary_perfect,
@@ -13,11 +13,8 @@ from halfcross.constructions import (
     locate_tile_binary,
     locate_tile_ternary,
     phi,
-    phi_word,
     psi,
-    psi_word,
     punctured_construction,
-    reduce_to_representative,
     to_binary_perfect,
 )
 from halfcross.geometry import covers
@@ -34,6 +31,31 @@ EXAMPLE_7D = tuple(
         "2002002", "2002220", "0220002", "0220220",
     )
 )
+
+# the paper's class table: the four pairs of {0,1,2} x {0,1,2,3} with psi = s,
+# keyed by phi(s)
+CLASSES = {
+    (0, 0): ((0, 0), (0, 3), (2, 2), (2, 1)),
+    (1, 2): ((1, 2), (1, 1), (0, 1), (0, 2)),
+    (2, 0): ((2, 0), (1, 3), (2, 3), (1, 0)),
+}
+
+# the paper's adjustment table, ADJUST[b][phi(s)] = b + d: the point of
+# phi(s) + Lambda_2 that covers the pair b (unreduced, as printed)
+ADJUST = {
+    (0, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
+    (0, 3): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (2, 2): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (2, 1): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 0)},
+    (1, 2): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (1, 1): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 0)},
+    (0, 1): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (-1, 2)},
+    (0, 2): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (-1, 2)},
+    (2, 0): {(0, 0): (3, 2), (1, 2): (4, 0), (2, 0): (2, 0)},
+    (1, 3): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (2, 3): {(0, 0): (3, 2), (1, 2): (4, 4), (2, 0): (2, 4)},
+    (1, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
+}
 
 
 def test_binary_construction_verifies():
@@ -98,8 +120,6 @@ def test_punctured_rejects_short_code():
 def test_phi_psi_inverse_on_representatives():
     for s in range(3):
         assert psi(phi(s)) == s
-    assert phi_word((0, 1, 2)) == (0, 0, 1, 2, 2, 0)
-    assert psi_word((0, 0, 1, 2, 2, 0)) == (0, 1, 2)
 
 
 def test_psi_classes_partition():
@@ -112,13 +132,30 @@ def test_psi_classes_partition():
         psi((3, 0))
 
 
-def test_reduce_to_representative_exhaustive():
-    lam = lambda_lattice(1)
-    for a in itertools.product(range(-12, 13), repeat=2):
-        b, y = reduce_to_representative(a)
-        assert 0 <= b[0] < 3 and 0 <= b[1] < 4
-        assert tuple(ai + yi for ai, yi in zip(a, y)) == b
-        assert lat.contains(lam, y)
+def test_derived_tables_match_paper():
+    route = constructions._TERNARY
+    assert {pair: psi(pair) for pair in route.psi} == {
+        pair: s for s, rep in constructions.PHI.items() for pair in CLASSES[rep]
+    }
+    assert {
+        b: {phi(s): tuple(v + d for v, d in zip(b, route.lift[b][s])) for s in range(3)}
+        for b in route.lift
+    } == ADJUST
+    # binary: psi(b) = ceil(b / 2) mod 2, and b + d is the value in b-1..b+2 that is 2s mod 4
+    route = constructions._BINARY
+    assert route.psi == {(b,): (b + 1) // 2 % 2 for b in range(4)}
+    assert route.lift == {(b,): tuple((-1 + (2 * s - b + 1) % 4,) for s in (0, 1)) for b in range(4)}
+
+
+@pytest.mark.parametrize(
+    "phi_rows, block, message",
+    [(((0,), (2,)), ((2,),), "one offset per symbol"),  # Upsilon_1 meets each class of 2Z twice
+     (((0,), (1,)), ((4,),), "exactly one symbol")],  # both symbols lift within the core of 0
+    ids=["upsilon-twice-per-residue", "two-core-symbols"],
+)
+def test_route_derivation_rejects_bad_routes(phi_rows, block, message):
+    with pytest.raises(RuntimeError, match=message):
+        constructions._route(phi_rows, block, 4)
 
 
 def test_ternary_construction_nu1():
@@ -167,8 +204,6 @@ def test_locate_ternary_agrees_with_membership_nu2():
 
 def test_locate_ternary_raises_on_non_covering_result(monkeypatch):
     # the cover check on the result must survive python -O
-    from halfcross import constructions
-
     monkeypatch.setattr(constructions, "covers", lambda x, a: False)
     with pytest.raises(RuntimeError):
         locate_tile_ternary((1, 1), ternary_hamming(1))
@@ -190,26 +225,9 @@ def test_locate_binary_covers_window():
 
 def test_locate_binary_raises_on_non_covering_result(monkeypatch):
     # the cover check on the result must survive python -O
-    from halfcross import constructions
-
     monkeypatch.setattr(constructions, "covers", lambda x, a: False)
     with pytest.raises(RuntimeError):
         locate_tile_binary((0, 0, 0), binary_hamming(2))
-
-
-@pytest.mark.parametrize(
-    "pair, rep, bad, message",
-    [((0, 3), (0, 0), (0, 8), "does not cover"),  # an entry outside -1..2
-     ((0, 3), (2, 0), (-1, 2), "does not cover"),  # two exceptional entries
-     ((0, 0), (0, 0), (0, 2), "own class")],  # an exceptional entry within its own class
-    ids=["range", "two-exceptional", "own-class"],
-)
-def test_class_table_validation_catches_mistranscription(monkeypatch, pair, rep, bad, message):
-    from halfcross import constructions
-
-    monkeypatch.setitem(constructions.ADJUST, pair, {**constructions.ADJUST[pair], rep: bad})
-    with pytest.raises(RuntimeError, match=message):
-        constructions._validate_class_table()
 
 
 def test_locators_reject_bad_dimensions():

@@ -1,13 +1,19 @@
-"""Array layers against the tuple implementations they replaced.
+"""Array layers and derived tables against the implementations they replaced.
 
 Each oracle below is the per-codeword tuple code that an array layer
 replaced: tuple comprehensions, Python sets and the incremental subgroup
 closure.  Hypothesis draws small (n, p) windows, real tilings, subgroups of
 (Z_p)^n and perturbations of them (a codeword dropped, moved or duplicated),
 and every array layer must agree with its oracle, error messages included.
-The profile is derandomized, so every run draws the same examples.
+The perfectness check is compared with the radius-1 sphere walk over tuples,
+and the constructions and locators with the per-family code that used the
+paper's transcribed class and adjustment tables.  The profile is
+derandomized, so every run draws the same examples.
 """
 
+import itertools
+import random
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from halfcross import codes, constructions, lattice
+from halfcross.codes import BlockCode, decode_within_1, is_perfect
+from halfcross.geometry import covers
 from halfcross.lattice import (
     IntegerLattice,
     _hnf,
@@ -182,6 +190,137 @@ def f1_f2_oracle(words):
     return tuple(sorted(f1)), tuple(sorted(f2))
 
 
+def is_perfect_oracle(code):
+    """The sphere walk over tuples that the sorted base-q keys replaced."""
+    q, n = code.q, code.length
+    sphere = 1 + n * (q - 1)
+    if len(code.codewords) * sphere != q**n:
+        return False, (
+            f"size check failed: {len(code.codewords)} * {sphere} != {q}^{n}"
+        )
+    seen = set()
+    for w in code.codewords:
+        for v in codes._sphere(w, q):
+            if v in seen:
+                return False, f"spheres overlap at {v}"
+            seen.add(v)
+    return True, "perfect: sphere packing covers all words exactly once"
+
+
+# The per-family constructions and locators, as they stood on the transcribed
+# tables; the perfectness check inside them is the library's, which
+# test_is_perfect_matches_sphere_walk holds to its own oracle.
+
+PHI = {0: (0, 0), 1: (1, 2), 2: (2, 0)}
+
+CLASSES = {
+    (0, 0): ((0, 0), (0, 3), (2, 2), (2, 1)),
+    (1, 2): ((1, 2), (1, 1), (0, 1), (0, 2)),
+    (2, 0): ((2, 0), (1, 3), (2, 3), (1, 0)),
+}
+
+ADJUST = {
+    # class of (0, 0)
+    (0, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
+    (0, 3): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (2, 2): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (2, 1): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 0)},
+    # class of (1, 2)
+    (1, 2): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (1, 1): {(0, 0): (3, 2), (1, 2): (1, 2), (2, 0): (2, 0)},
+    (0, 1): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (-1, 2)},
+    (0, 2): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (-1, 2)},
+    # class of (2, 0)
+    (2, 0): {(0, 0): (3, 2), (1, 2): (4, 0), (2, 0): (2, 0)},
+    (1, 3): {(0, 0): (0, 4), (1, 2): (1, 2), (2, 0): (2, 4)},
+    (2, 3): {(0, 0): (3, 2), (1, 2): (4, 4), (2, 0): (2, 4)},
+    (1, 0): {(0, 0): (0, 0), (1, 2): (1, 2), (2, 0): (2, 0)},
+}
+
+_CLASS_SYMBOL = {pair: s for s, rep in PHI.items() for pair in CLASSES[rep]}
+_PHI_ROWS = np.array([PHI[s] for s in range(3)], dtype=np.uint8)
+
+
+def psi_word(point):
+    if len(point) % 2 != 0:
+        raise ValueError("point length must be even")
+    return tuple(
+        _CLASS_SYMBOL[(point[2 * i], point[2 * i + 1])] for i in range(len(point) // 2)
+    )
+
+
+def reduce_to_representative(a):
+    if len(a) % 2 != 0:
+        raise ValueError("dimension must be even")
+    b = []
+    y = []
+    for i in range(len(a) // 2):
+        a1, a2 = a[2 * i], a[2 * i + 1]
+        b1 = a1 % 3
+        m = (b1 - a1) // 3
+        b2 = (a2 + 2 * m) % 4
+        l = (b2 - a2 - 2 * m) // 4
+        b.extend((b1, b2))
+        y.extend((3 * m, 2 * m + 4 * l))
+    return tuple(b), tuple(y)
+
+
+def _code_array(code):
+    return np.array(code.codewords, dtype=np.uint8).reshape(-1, code.length)
+
+
+def _require_perfect(code, q):
+    if code.q != q:
+        raise ValueError(f"expected a code over Z_{q}, got Z_{code.q}")
+    ok, reason = is_perfect(code)
+    if not ok:
+        raise ValueError(f"code is not perfect: {reason}")
+
+
+def from_binary_perfect_oracle(code):
+    _require_perfect(code, 2)
+    return PeriodicTiling(n=code.length, p=4, codewords=2 * _code_array(code))
+
+
+def from_ternary_perfect_oracle(code):
+    _require_perfect(code, 3)
+    nu = code.length
+    embedded = _PHI_ROWS[_code_array(code)].reshape(-1, 2 * nu)
+    lam = lattice.window_array(lattice.lambda_lattice(nu), 12).astype(np.uint8)
+    words = ((embedded[:, None, :] + lam[None, :, :]) % 12).reshape(-1, 2 * nu)
+    try:
+        return PeriodicTiling(n=2 * nu, p=12, codewords=words)
+    except ValueError as exc:
+        raise RuntimeError("collision in embedded code + lattice window") from exc
+
+
+def locate_tile_ternary_oracle(a, code):
+    if len(a) % 2 != 0:
+        raise ValueError("dimension must be even")
+    if len(a) != 2 * code.length:
+        raise ValueError(f"point length {len(a)} != 2 * code length {code.length}")
+    b, y = reduce_to_representative(a)
+    w = decode_within_1(code, psi_word(b))
+    if w is None:
+        raise ValueError("decode failure: the supplied code is not perfect")
+    out = [v for i, s in enumerate(w) for v in ADJUST[b[2 * i], b[2 * i + 1]][PHI[s]]]
+    x = tuple(o - yi for o, yi in zip(out, y))
+    if not covers(x, a):
+        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
+    return x
+
+
+def locate_tile_binary_oracle(a, code):
+    _require_perfect(code, 2)
+    if len(a) != code.length:
+        raise ValueError(f"point length {len(a)} != code length {code.length}")
+    c = decode_within_1(code, tuple((ai + 1) // 2 % 2 for ai in a))
+    x = tuple(ai - 1 + (2 * ci - ai + 1) % 4 for ai, ci in zip(a, c))
+    if not covers(x, a):
+        raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
+    return x
+
+
 # ------------------------------------------------------------- strategies
 
 
@@ -338,3 +477,126 @@ def test_strategies_reach_every_kind_of_case():
     collect()
     assert seen >= {(True, "bool"), (False, "bool"), (False, "str")}
     assert any(lattice_tiling_oracle(w, n, p) is False for n, p, w in REAL)
+
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # binary_hamming(1) is the degenerate code {0}
+    BINARY = {t: codes.binary_hamming(t) for t in (1, 2, 3, 4)}
+TERNARY = {t: codes.ternary_hamming(t) for t in (1, 2)}
+
+#: (entries per code symbol, locator, its oracle, codes by t)
+LOCATORS = {
+    "binary": (1, constructions.locate_tile_binary, locate_tile_binary_oracle, BINARY),
+    "ternary": (2, constructions.locate_tile_ternary, locate_tile_ternary_oracle, TERNARY),
+}
+
+
+def _result_or_type(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_perfect_matches_sphere_walk():
+    # Hamming codes with codewords moved, dropped or added, in shuffled order
+    seen = set()
+
+    @PROFILE
+    @given(data=st.data())
+    def check(data):
+        code = data.draw(st.sampled_from([*BINARY.values(), *TERNARY.values()]))
+        words = list(code.codewords)
+        random.Random(data.draw(st.integers(0, 2**32))).shuffle(words)
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(words) - 1))
+            j = data.draw(st.integers(0, code.length - 1))
+            symbol = data.draw(st.integers(0, code.q - 1))
+            words[i] = words[i][:j] + (symbol,) + words[i][j + 1 :]
+        if data.draw(st.booleans()):
+            words.append(tuple(data.draw(st.integers(0, code.q - 1)) for _ in range(code.length)))
+        if len(words) > 1 and data.draw(st.booleans()):
+            words.pop(data.draw(st.integers(0, len(words) - 1)))
+        perturbed = BlockCode(q=code.q, length=code.length, codewords=tuple(dict.fromkeys(words)))
+        want = is_perfect_oracle(perturbed)
+        assert is_perfect(perturbed) == want
+        seen.add(want[1].split()[0])
+
+    check()
+    assert seen == {"perfect:", "size", "spheres"}
+
+
+@PROFILE
+@given(kind=st.sampled_from(sorted(LOCATORS)), data=st.data())
+def test_locators_match_oracle(kind, data):
+    m, locate, oracle, by_t = LOCATORS[kind]
+    code = by_t[data.draw(st.sampled_from(sorted(by_t)))]
+    entry = st.integers(-(10**12), 10**12) | st.integers(-13, 13)
+    a = tuple(data.draw(st.lists(entry, min_size=m * code.length, max_size=m * code.length)))
+    assert locate(a, code) == oracle(a, code)
+    # a point of the wrong length
+    short = a[: data.draw(st.integers(0, len(a) - 1))]
+    longer = a + tuple(data.draw(st.lists(entry, min_size=1, max_size=3)))
+    for bad in (short, longer):
+        assert _result_or_type(locate, bad, code) is ValueError
+        assert _result_or_type(oracle, bad, code) is ValueError
+
+
+@pytest.mark.parametrize("kind", sorted(LOCATORS))
+def test_locators_match_oracle_on_every_residue(kind):
+    # every block at each residue in turn, moved far out by multiples of the period
+    m, locate, oracle, by_t = LOCATORS[kind]
+    residues = list(itertools.product(range(4))) if m == 1 else list(
+        itertools.product(range(3), range(4)))
+    for code in by_t.values():
+        n = m * code.length
+        far = [12 * (-1) ** i * (10**10 + i) for i in range(n)]
+        for r in residues:
+            a = tuple(v + f for v, f in zip(r * code.length, far))
+            assert locate(a, code) == oracle(a, code)
+
+
+@PROFILE
+@given(data=st.data())
+def test_locators_refuse_the_other_alphabet(data):
+    # the binary locator always refused a ternary code; the ternary one only
+    # when the decoded word left Z_2, and lifted a binary codeword otherwise
+    entry = st.integers(-(10**12), 10**12)
+    t = data.draw(st.sampled_from(sorted(TERNARY)))
+    a = tuple(data.draw(st.lists(entry, min_size=TERNARY[t].length,
+                                 max_size=TERNARY[t].length)))
+    assert _result_or_type(constructions.locate_tile_binary, a, TERNARY[t]) is ValueError
+    assert _result_or_type(locate_tile_binary_oracle, a, TERNARY[t]) is ValueError
+    t = data.draw(st.sampled_from(sorted(BINARY)))
+    a = tuple(data.draw(st.lists(entry, min_size=2 * BINARY[t].length,
+                                 max_size=2 * BINARY[t].length)))
+    assert _result_or_type(constructions.locate_tile_ternary, a, BINARY[t]) is ValueError
+    out = _result_or_type(locate_tile_ternary_oracle, a, BINARY[t])
+    assert out is ValueError or covers(out, a)
+
+
+def test_ternary_locator_matches_oracle_at_t3():
+    code = codes.ternary_hamming(3)
+    n = 2 * code.length
+    points = [(0,) * n, tuple(range(n)), tuple(range(-n, 0)),
+              tuple((-1) ** i * 10**12 + i for i in range(n)),
+              tuple(i * 7919 % 23 - 11 for i in range(n))]
+    for a in points:
+        assert constructions.locate_tile_ternary(a, code) == locate_tile_ternary_oracle(a, code)
+
+
+@pytest.mark.parametrize(
+    "build, oracle, code",
+    [(constructions.from_binary_perfect, from_binary_perfect_oracle, c) for c in BINARY.values()]
+    + [(constructions.from_ternary_perfect, from_ternary_perfect_oracle, c)
+       for c in TERNARY.values()],
+    ids=[f"binary-t{t}" for t in BINARY] + [f"ternary-t{t}" for t in TERNARY],
+)
+def test_constructions_match_oracle(build, oracle, code):
+    assert build(code) == oracle(code)
+    # a code that is not perfect (a weight-1 word added), and one over the other alphabet
+    unit = (1,) + (0,) * (code.length - 1)
+    bad = BlockCode(q=code.q, length=code.length, codewords=code.codewords + (unit,))
+    other = BINARY[2] if code.q == 3 else TERNARY[1]
+    for c in (bad, other):
+        assert _result_or_type(build, c) is _result_or_type(oracle, c) is ValueError
