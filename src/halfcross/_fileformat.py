@@ -3,9 +3,11 @@
 A file is a magic line (``TILING v1``), one ``key value`` line per header key
 in a fixed order, then exactly as many rows of space-separated integers as
 the last header key says.  Readers are strict: every key must be named,
-the row count must match, and nothing may follow the last row.  TILING
-bodies are written and parsed as whole arrays; CODE and LATTICE rows stay
-exact Python ints.
+the row count must match, and nothing may follow the last row.  CODE and
+TILING bodies are written as whole arrays; every body is parsed as one int64
+array wherever numpy reads it exactly as int() would.  LATTICE rows, whose
+entries may be negative or past int64, are written row by row and read back
+as Python ints.
 """
 
 from __future__ import annotations
@@ -62,15 +64,13 @@ def read(
     keys: tuple[str, ...],
     error: type[FormatError],
     build: Callable,
-    as_array: bool = False,
 ):
     """Parse a v1 file and return ``build(*header_values, rows)``.
 
-    The value of the last key in ``keys`` is the row count.  Rows are tuples
-    of Python ints; with ``as_array`` they are one int64 array instead
-    wherever numpy parses the body exactly as int() would.  Every parse
-    failure, non-ASCII input included, and every ValueError raised by
-    ``build`` is raised as ``error``.
+    The value of the last key in ``keys`` is the row count.  Rows are one
+    int64 array wherever numpy parses the body exactly as int() would, and
+    tuples of Python ints otherwise.  Every parse failure, non-ASCII input
+    included, and every ValueError raised by ``build`` is raised as ``error``.
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
@@ -88,7 +88,7 @@ def read(
         body = lines[len(keys) + 1 :]
         if len(body) != count:
             raise error(f"expected {count} rows, got {len(body)}")
-        rows = _parse_array(body) if as_array else None
+        rows = _parse_array(body)
         if rows is None:
             rows = tuple([tuple(map(int, line.split())) for line in body])
     except FormatError:

@@ -66,7 +66,7 @@ def cmd_gen_code(args) -> int:
     ok, _ = codes.is_perfect(code)
     # generated Hamming codes are linear, so the minimum distance is the
     # least weight of a nonzero codeword: one pass, not all pairs
-    dist = min((sum(map(bool, w)) for w in code.codewords if any(w)), default="n/a")
+    dist = min(filter(None, (code.words != 0).sum(axis=1).tolist()), default="n/a")
     print(f"size: {len(code)}")
     print(f"length: {code.length}")
     print(f"min_distance: {dist}")

@@ -1,24 +1,25 @@
 """Block codes over Z_2 and Z_3: Hamming generation, perfectness, derived codes.
 
-Codes are stored as explicit codeword lists (desk scale).  Generated Hamming
-codes use a fixed parity-check column order so output is byte-reproducible,
-and are encoded systematically: the unit columns of the parity-check matrix
-are the check positions, every other position is free.  One radius-1 sphere
-enumeration serves both the perfectness check and decoding.
+A code holds its codewords the way a tiling does: one sorted, read-only
+array (desk scale).  Generated Hamming codes use a fixed parity-check column
+order so output is byte-reproducible, and are encoded systematically: the unit
+columns of the parity-check matrix are the check positions, every other
+position is free.  Perfectness is decided by sorting the radius-1 sphere words
+as base-q keys; decoding walks one sphere.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, pairwise_minimum
+from .geometry import Point, _WordArray, pairwise_minimum
+from .tiling import window_exceeds
 
 #: largest codeword list we materialize (3^11, the ternary t=3 code size)
 MAX_CODEWORDS = 3**11
@@ -30,31 +31,23 @@ class CodeFormatError(_fileformat.FormatError):
     """A CODE v1 file failed to parse."""
 
 
-@dataclass(frozen=True)
-class BlockCode:
-    """A code over Z_q given by its full codeword list."""
+class BlockCode(_WordArray):
+    """A code over Z_q given by its full codeword list.
 
-    q: int
-    length: int
-    codewords: tuple[Point, ...]
+    ``codewords`` may be any sequence of rows or an integer array; ``words``
+    holds them as one sorted, read-only (k, length) uint8 array, and
+    ``codewords`` is its sorted tuple view.
+    """
 
-    def __post_init__(self):
-        if self.q not in (2, 3):
-            raise ValueError(f"alphabet size must be 2 or 3, got {self.q}")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        seen = set()
-        for w in self.codewords:
-            if len(w) != self.length:
-                raise ValueError(f"codeword {w} has length != {self.length}")
-            if any(s < 0 or s >= self.q for s in w):
-                raise ValueError(f"codeword {w} has symbols outside Z_{self.q}")
-            if w in seen:
-                raise ValueError(f"duplicate codeword {w}")
-            seen.add(w)
+    _header = ("q", "length")
 
-    def __len__(self) -> int:
-        return len(self.codewords)
+    def __init__(self, q: int, length: int, codewords):
+        if q not in (2, 3):
+            raise ValueError(f"alphabet size must be 2 or 3, got {q}")
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {length}")
+        self.q, self.length = q, length
+        super().__init__(codewords, length, q)
 
 
 def _hamming(q: int, t: int) -> BlockCode:
@@ -73,7 +66,7 @@ def _hamming(q: int, t: int) -> BlockCode:
     x = np.zeros((q**k, len(cols)), dtype=np.uint8)
     x[:, free] = np.indices((q,) * k, dtype=np.uint8).reshape(k, q**k).T
     x[:, check] = x[:, free] @ neg % q
-    return BlockCode(q=q, length=len(cols), codewords=tuple(sorted(zip(*x.T.tolist()))))
+    return BlockCode(q=q, length=len(cols), codewords=x)
 
 
 def binary_hamming(t: int) -> BlockCode:
@@ -84,9 +77,8 @@ def binary_hamming(t: int) -> BlockCode:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    n = 2**t - 1
-    if n > MAX_LENGTH:
-        raise ValueError(f"length {n} exceeds guard {MAX_LENGTH}")
+    if window_exceeds(2, t, MAX_LENGTH + 1):  # 2^t - 1 > MAX_LENGTH, 2^t not built
+        raise ValueError(f"length 2^{t} - 1 exceeds guard {MAX_LENGTH}")
     if t == 1:
         warnings.warn("binary_hamming(1) is the degenerate length-1 code {0}")
     return _hamming(2, t)
@@ -100,16 +92,14 @@ def ternary_hamming(t: int) -> BlockCode:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    nu = (3**t - 1) // 2
-    if nu > MAX_TERNARY_LENGTH:
-        raise ValueError(f"length {nu} exceeds guard {MAX_TERNARY_LENGTH}")
+    if window_exceeds(3, t, 2 * MAX_TERNARY_LENGTH + 1):  # (3^t - 1)/2 > the guard
+        raise ValueError(f"length (3^{t} - 1)/2 exceeds guard {MAX_TERNARY_LENGTH}")
     return _hamming(3, t)
 
 
 def min_hamming_distance(code: BlockCode) -> int:
     """Minimum pairwise Hamming distance; needs at least two codewords."""
-    words = np.array(code.codewords, dtype=np.int8)
-    return pairwise_minimum(words, lambda a, b: (a != b).sum(axis=-1))
+    return pairwise_minimum(code.words, lambda a, b: (a != b).sum(axis=-1))
 
 
 def _sphere(word: Point, q: int) -> Iterator[Point]:
@@ -128,17 +118,16 @@ def is_perfect(code: BlockCode) -> tuple[bool, str]:
     Checked as: sphere-size times code-size equals q^n, and the spheres are
     pairwise disjoint (equivalent to minimum distance >= 3).  Returns the
     verdict with the reason for a failure, which names the first sphere word,
-    in the order of :func:`_sphere` over the codewords, seen twice.
+    in the order of :func:`_sphere` over the sorted codewords, seen twice.
     """
     q, n = code.q, code.length
     sphere = 1 + n * (q - 1)
-    if len(code.codewords) * sphere != q**n:
-        return False, (
-            f"size check failed: {len(code.codewords)} * {sphere} != {q}^{n}"
-        )
+    # q^n is built only when its bit length is near that of k * sphere
+    if window_exceeds(q, n, len(code) * sphere) or len(code) * sphere != q**n:
+        return False, f"size check failed: {len(code)} * {sphere} != {q}^{n}"
     # every sphere word as a base-q integer (first entry most significant),
     # in _sphere's order: the word, then per position each other symbol ascending
-    words = np.array(code.codewords, dtype=np.int64).reshape(-1, n)
+    words = code.words.astype(np.int64)
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     other = np.arange(q - 1)
     other = other + (other >= words[:, :, None])  # (k, n, q - 1) replacement symbols
@@ -159,21 +148,20 @@ def puncture(code: BlockCode) -> BlockCode:
     """Drop the last coordinate of every codeword."""
     if code.length < 2:
         raise ValueError("cannot puncture a length-1 code")
-    words = sorted({w[:-1] for w in code.codewords})
-    if len(words) != len(code.codewords):
+    words = np.unique(code.words[:, :-1], axis=0)
+    if len(words) != len(code):
         raise ValueError("puncturing collided codewords (minimum distance < 2?)")
-    return BlockCode(q=code.q, length=code.length - 1, codewords=tuple(words))
+    return BlockCode(q=code.q, length=code.length - 1, codewords=words)
 
 
 def weight_split(code: BlockCode) -> tuple[BlockCode, BlockCode]:
     """Partition a binary code by parity of Hamming weight: (even, odd)."""
     if code.q != 2:
         raise ValueError("weight split is defined for binary codes only")
-    even = tuple(w for w in code.codewords if sum(w) % 2 == 0)
-    odd = tuple(w for w in code.codewords if sum(w) % 2 == 1)
+    odd = np.count_nonzero(code.words, axis=1) % 2 == 1
     return (
-        BlockCode(q=2, length=code.length, codewords=even),
-        BlockCode(q=2, length=code.length, codewords=odd),
+        BlockCode(q=2, length=code.length, codewords=code.words[~odd]),
+        BlockCode(q=2, length=code.length, codewords=code.words[odd]),
     )
 
 
@@ -194,8 +182,8 @@ def decode_within_1(code: BlockCode, word: Point) -> Point | None:
 
 def write_code(code: BlockCode, path: str | Path) -> None:
     """Write a CODE v1 file (line-oriented ASCII, codewords sorted)."""
-    header = {"q": code.q, "n": code.length, "count": len(code.codewords)}
-    _fileformat.write(path, "CODE v1", header, sorted(code.codewords))
+    header = {"q": code.q, "n": code.length, "count": len(code)}
+    _fileformat.write(path, "CODE v1", header, code.words)
 
 
 def read_code(path: str | Path) -> BlockCode:

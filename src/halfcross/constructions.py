@@ -86,10 +86,6 @@ def psi(pair: tuple[int, int]) -> int:
     return _TERNARY.psi[pair]
 
 
-def _code_array(code: BlockCode) -> np.ndarray:
-    return np.array(code.codewords, dtype=np.uint8).reshape(-1, code.length)
-
-
 def _require_alphabet(code: BlockCode, q: int) -> None:
     if code.q != q:
         raise ValueError(f"expected a code over Z_{q}, got Z_{code.q}")
@@ -107,7 +103,7 @@ def _construct(code: BlockCode, route: _Route) -> PeriodicTiling:
     # sum; a repeated codeword raises RuntimeError
     _require_perfect(code, route.q)
     n = route.phi.shape[1] * code.length
-    embedded = route.phi[_code_array(code)].reshape(-1, n)
+    embedded = route.phi[code.words].reshape(-1, n)
     window = lat.window_array(lat._block_diagonal(route.hnf, code.length), route.p)
     words = (embedded[:, None, :] + window.astype(np.uint8)[None, :, :]) % route.p
     try:
@@ -149,8 +145,7 @@ def to_binary_perfect(tiling: PeriodicTiling) -> BlockCode:
         raise ValueError(f"expected period 4, got {tiling.p}")
     w = tiling.words
     words = w // 2 if not (w % 2).any() else (w >= 2).astype(w.dtype)
-    distinct = tuple(map(tuple, np.unique(words, axis=0).tolist()))  # sorted rows
-    code = BlockCode(q=2, length=tiling.n, codewords=distinct)
+    code = BlockCode(q=2, length=tiling.n, codewords=np.unique(words, axis=0))
     ok, reason = is_perfect(code)
     if not ok:
         raise ValueError(f"image is not a perfect code ({reason}); corrupt tiling?")
@@ -166,9 +161,8 @@ def punctured_construction(code: BlockCode) -> PeriodicTiling:
     _require_perfect(code, 2)
     if code.length < 3:
         raise ValueError("punctured construction needs length >= 3")
-    c = _code_array(code)
-    words = 2 * c
-    words[:, -1] += c[:, :-1].sum(axis=1) % 2
+    words = 2 * code.words
+    words[:, -1] += code.words[:, :-1].sum(axis=1) % 2
     return PeriodicTiling(n=code.length, p=4, codewords=words)
 
 

@@ -1,4 +1,4 @@
-"""Points, the three distance measures, and the half-cross shape as an offset set.
+"""Points, the three distances, sorted word arrays, and the half-cross offset set.
 
 The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -99,6 +99,78 @@ def pairwise_minimum(
         m = int(d.min())
         best = m if best is None else min(best, m)
     return best
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One key per row of an unsigned array; keys compare bytewise like the rows
+    lexicographically, since the entries are written big-endian (nothing wraps)."""
+    big = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
+
+
+def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
+    """The codewords as a sorted array; ValueError names the first codeword, in the
+    given order, of the wrong length, outside 0..p-1, or equal to an earlier one."""
+    if not isinstance(codewords, np.ndarray):
+        codewords = tuple(codewords)
+        try:
+            codewords = np.asarray(codewords, dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged rows or entries past int64
+            codewords = np.asarray(codewords, dtype=object)
+    if len(codewords) == 0:
+        return np.empty((0, n), dtype=np.min_scalar_type(p - 1))
+    if codewords.ndim != 2 or codewords.shape[1] != n:
+        i = next(i for i, w in enumerate(codewords) if len(w) != n)
+        _sorted_words(tuple(codewords[:i]), n, p)
+        raise ValueError(f"codeword {tuple(map(int, codewords[i]))} has length != {n}")
+    outside = ((codewords < 0) | (codewords >= p)).any(axis=1)
+    end = int(np.argmax(outside)) if outside.any() else len(codewords)
+    words = codewords[:end].astype(np.min_scalar_type(p - 1))
+    keys = _row_keys(words)
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    if repeat.any():
+        w = words[order[1:][repeat].min()]
+        raise ValueError(f"duplicate codeword {tuple(map(int, w))}")
+    if end < len(codewords):
+        w = tuple(map(int, codewords[end]))
+        raise ValueError(f"codeword {w} outside window of period {p}")
+    return words[order]
+
+
+class _WordArray:
+    """A set of words held as ``words``: one sorted, read-only (k, n) array of the
+    smallest unsigned dtype for the alphabet, built by :func:`_sorted_words`.
+    ``codewords`` is the same as a sorted tuple of tuples, built on first access.
+    Equality and hash are on the attributes named in ``_header`` and the words."""
+
+    _header: tuple[str, ...]
+
+    def __init__(self, codewords, n: int, alphabet: int):
+        self.words = _sorted_words(codewords, n, alphabet)
+        self.words.flags.writeable = False
+
+    @cached_property
+    def codewords(self) -> tuple[Point, ...]:
+        return tuple(zip(*self.words.T.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def _head(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self._header)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._head() == other._head() and np.array_equal(self.words, other.words)
+
+    def __hash__(self) -> int:
+        return hash((*self._head(), self.words.tobytes()))
+
+    def __repr__(self) -> str:
+        head = ", ".join(f"{name}={value}" for name, value in zip(self._header, self._head()))
+        return f"{type(self).__name__}({head}, codewords={self.codewords!r})"
 
 
 def index_to_point(idx: int, n: int, p: int) -> Point:

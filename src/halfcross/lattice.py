@@ -189,8 +189,8 @@ def write_lattice(lattice: IntegerLattice, path: str | Path) -> None:
 
 
 def read_lattice(path: str | Path) -> IntegerLattice:
-    """Parse a LATTICE v1 file."""
+    """Parse a LATTICE v1 file; the rows become Python ints, which _hnf needs exact."""
     return _fileformat.read(
         path, "LATTICE v1", ("n",), LatticeFormatError,
-        lambda n, rows: IntegerLattice(n=n, generator=rows),
+        lambda n, rows: IntegerLattice(n=n, generator=tuple(tuple(map(int, r)) for r in rows)),
     )

@@ -106,9 +106,7 @@ def search_tilings(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats
         if stats.nodes > cfg.node_budget:
             raise _Budget
         if len(placed) == tiles_needed:
-            solutions.append(
-                PeriodicTiling(n=n, p=p, codewords=tuple(sorted(placed)))
-            )
+            solutions.append(PeriodicTiling(n=n, p=p, codewords=placed))
             stats.solutions += 1
             return
         lowest = covered.find(0)

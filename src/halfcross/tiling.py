@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, index_to_point, pairwise_minimum, torus_covers
+from .geometry import Point, _row_keys, _WordArray, index_to_point, pairwise_minimum, torus_covers
 
 #: default ceiling on window size p^n (the 12^8 case, criterion scale)
 DEFAULT_CELL_BUDGET = 12**8
@@ -68,50 +67,15 @@ def power_text(p: int, n: int) -> str:
     return f"{p}^{n} = {digits}" if digits else f"{p}^{n}"
 
 
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """One key per row of an unsigned array; keys compare bytewise like the rows
-    lexicographically, since the entries are written big-endian (nothing wraps)."""
-    big = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder(">"))
-    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
-
-
-def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
-    """The codewords as a sorted array; ValueError names the first codeword, in the
-    given order, of the wrong length, outside 0..p-1, or equal to an earlier one."""
-    if not isinstance(codewords, np.ndarray):
-        codewords = tuple(codewords)
-        try:
-            codewords = np.asarray(codewords, dtype=np.int64)
-        except (ValueError, OverflowError):  # ragged rows or entries past int64
-            codewords = np.asarray(codewords, dtype=object)
-    if len(codewords) == 0:
-        return np.empty((0, n), dtype=np.min_scalar_type(p - 1))
-    if codewords.ndim != 2 or codewords.shape[1] != n:
-        i = next(i for i, w in enumerate(codewords) if len(w) != n)
-        _sorted_words(tuple(codewords[:i]), n, p)
-        raise ValueError(f"codeword {tuple(map(int, codewords[i]))} has length != {n}")
-    outside = ((codewords < 0) | (codewords >= p)).any(axis=1)
-    end = int(np.argmax(outside)) if outside.any() else len(codewords)
-    words = codewords[:end].astype(np.min_scalar_type(p - 1))
-    keys = _row_keys(words)
-    order = np.argsort(keys, kind="stable")
-    repeat = keys[order[1:]] == keys[order[:-1]]
-    if repeat.any():
-        w = words[order[1:][repeat].min()]
-        raise ValueError(f"duplicate codeword {tuple(map(int, w))}")
-    if end < len(codewords):
-        w = tuple(map(int, codewords[end]))
-        raise ValueError(f"codeword {w} outside window of period {p}")
-    return words[order]
-
-
-class PeriodicTiling:
+class PeriodicTiling(_WordArray):
     """Window representation of T = codewords + p Z^n (p below 2^63).
 
     ``words`` holds the codewords: one sorted, read-only (k, n) array of the
     smallest unsigned dtype for p - 1.  ``codewords`` is the same as a sorted
     tuple of tuples, built on first access.
     """
+
+    _header = ("n", "p")
 
     def __init__(self, n: int, p: int, codewords):
         if n < 1:
@@ -121,15 +85,7 @@ class PeriodicTiling:
         if p >= 2**63:
             raise ValueError("period must be below 2^63")
         self.n, self.p = n, p
-        self.words = _sorted_words(codewords, n, p)
-        self.words.flags.writeable = False
-
-    @cached_property
-    def codewords(self) -> tuple[Point, ...]:
-        return tuple(zip(*self.words.T.tolist())) if len(self.words) else ()
-
-    def __len__(self) -> int:
-        return len(self.words)
+        super().__init__(codewords, n, p)
 
     def __contains__(self, x) -> bool:
         x = np.asarray(x)
@@ -141,18 +97,6 @@ class PeriodicTiling:
 
     def codeword_set(self) -> set[Point]:
         return set(self.codewords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicTiling):
-            return NotImplemented
-        same = (self.n, self.p) == (other.n, other.p)
-        return same and np.array_equal(self.words, other.words)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.p, self.words.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"PeriodicTiling(n={self.n}, p={self.p}, codewords={self.codewords!r})"
 
 
 @dataclass(frozen=True)
@@ -579,5 +523,5 @@ def read_tiling(path: str | Path) -> PeriodicTiling:
     """Parse a TILING v1 file; the body is parsed at once into an array."""
     return _fileformat.read(
         path, "TILING v1", ("n", "p", "count"), TilingFormatError,
-        lambda n, p, _, words: PeriodicTiling(n=n, p=p, codewords=words), as_array=True,
+        lambda n, p, _, words: PeriodicTiling(n=n, p=p, codewords=words),
     )

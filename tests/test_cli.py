@@ -1,9 +1,14 @@
 """End-to-end command-line tests: exit codes, output, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halfcross
 from halfcross import codes, constructions
 from halfcross.cli import (
     EXIT_BUDGET,
@@ -174,6 +179,35 @@ def test_locate_refuses_unfit_code(tmp_path, capsys, method, make_code, point, r
     code, stdout, err = run(capsys, "locate", "--tiling-method", method,
                             "--code", str(path), "--point", point)
     assert (code, stdout, err) == (EXIT_PRECONDITION, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code_text, err",
+    [
+        (("gen-code", "--base", "2", "--t", "1000000", "--out", "x.code"), None,
+         "error: length 2^1000000 - 1 exceeds guard 31\n"),
+        (("gen-code", "--base", "3", "--t", "100000000", "--out", "x.code"), None,
+         "error: length (3^100000000 - 1)/2 exceeds guard 13\n"),
+        (("build-tiling", "--method", "ternary", "--code", "huge.code", "--out", "x.tiling"),
+         "CODE v1\nq 3\nn 30000000\ncount 0\n",
+         "error: code is not perfect: size check failed: 0 * 60000001 != 3^30000000\n"),
+        (("locate", "--tiling-method", "ternary", "--code", "huge.code", "--point", "0 0"),
+         "CODE v1\nq 3\nn 30000000\ncount 0\n",
+         "error: code is not perfect: size check failed: 0 * 60000001 != 3^30000000\n"),
+    ],
+    ids=["binary-huge-t", "ternary-huge-t", "build-huge-n", "locate-huge-n"],
+)
+def test_huge_sizes_are_refused_before_any_power_is_built(tmp_path, argv, code_text, err):
+    # run in a child with a timeout, so that building 2^t, 3^t or 3^n fails the
+    # test instead of stalling it
+    if code_text is not None:
+        (tmp_path / "huge.code").write_text(code_text, encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(Path(halfcross.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "halfcross.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=15)
+    usage = argv[0] == "gen-code"
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_USAGE if usage else EXIT_PRECONDITION, "", err)
 
 
 def test_exist_admissible(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from halfcross.codes import (
@@ -212,3 +213,22 @@ def test_block_code_validation():
         BlockCode(q=2, length=2, codewords=((0, 2),))
     with pytest.raises(ValueError):
         BlockCode(q=2, length=2, codewords=((0, 0), (0, 0)))
+
+
+def test_block_code_takes_any_rows_and_compares_as_a_set():
+    # list rows, arrays and either order give the code that the sorted tuples give
+    words = ((0, 0, 0), (1, 1, 1))
+    want = BlockCode(q=2, length=3, codewords=words)
+    for rows in ([list(w) for w in words], np.array(words), np.array(words[::-1]), words[::-1]):
+        got = BlockCode(q=2, length=3, codewords=rows)
+        assert got == want and hash(got) == hash(want) and got.codewords == words
+    assert want != BlockCode(q=3, length=3, codewords=words)
+    assert want != BlockCode(q=2, length=3, codewords=words[:1])
+
+
+def test_block_code_words_are_read_only():
+    code = binary_hamming(3)
+    assert code.words.shape == (16, 7) and code.words.dtype == np.uint8
+    with pytest.raises(ValueError):
+        code.words[0, 0] = 1
+    assert code.codewords is code.codewords

@@ -6,14 +6,17 @@ closure.  Hypothesis draws small (n, p) windows, real tilings, subgroups of
 (Z_p)^n and perturbations of them (a codeword dropped, moved or duplicated),
 and every array layer must agree with its oracle, error messages included.
 The perfectness check is compared with the radius-1 sphere walk over tuples,
-and the constructions and locators with the per-family code that used the
-paper's transcribed class and adjustment tables.  The profile is
+the array-backed BlockCode and the codes derived from it with the tuple-backed
+code and its per-word validation loop, and the constructions and locators
+with the per-family code that used the paper's transcribed class and
+adjustment tables.  The profile is
 derandomized, so every run draws the same examples.
 """
 
 import itertools
 import random
 import warnings
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from halfcross import codes, constructions, lattice
 from halfcross.codes import BlockCode, decode_within_1, is_perfect
-from halfcross.geometry import covers
+from halfcross.geometry import Point, covers, pairwise_minimum
 from halfcross.lattice import (
     IntegerLattice,
     _hnf,
@@ -207,6 +210,81 @@ def is_perfect_oracle(code):
     return True, "perfect: sphere packing covers all words exactly once"
 
 
+@dataclass(frozen=True)
+class TupleCode:
+    """The tuple-backed BlockCode: codewords kept in the given order."""
+
+    q: int
+    length: int
+    codewords: tuple[Point, ...]
+
+    def __post_init__(self):
+        if self.q not in (2, 3):
+            raise ValueError(f"alphabet size must be 2 or 3, got {self.q}")
+        if self.length < 1:
+            raise ValueError(f"length must be >= 1, got {self.length}")
+        seen = set()
+        for w in self.codewords:
+            if len(w) != self.length:
+                raise ValueError(f"codeword {w} has length != {self.length}")
+            if any(s < 0 or s >= self.q for s in w):
+                raise ValueError(f"codeword {w} has symbols outside Z_{self.q}")
+            if w in seen:
+                raise ValueError(f"duplicate codeword {w}")
+            seen.add(w)
+
+    def __len__(self) -> int:
+        return len(self.codewords)
+
+
+def min_hamming_distance_oracle(code):
+    words = np.array(code.codewords, dtype=np.int8)
+    return pairwise_minimum(words, lambda a, b: (a != b).sum(axis=-1))
+
+
+def puncture_oracle(code):
+    if code.length < 2:
+        raise ValueError("cannot puncture a length-1 code")
+    words = sorted({w[:-1] for w in code.codewords})
+    if len(words) != len(code.codewords):
+        raise ValueError("puncturing collided codewords (minimum distance < 2?)")
+    return TupleCode(q=code.q, length=code.length - 1, codewords=tuple(words))
+
+
+def weight_split_oracle(code):
+    if code.q != 2:
+        raise ValueError("weight split is defined for binary codes only")
+    even = tuple(w for w in code.codewords if sum(w) % 2 == 0)
+    odd = tuple(w for w in code.codewords if sum(w) % 2 == 1)
+    return (
+        TupleCode(q=2, length=code.length, codewords=even),
+        TupleCode(q=2, length=code.length, codewords=odd),
+    )
+
+
+def to_binary_perfect_oracle(tiling):
+    """The tuple round trip; perfectness by the sphere walk over tuples."""
+    if tiling.p != 4:
+        raise ValueError(f"expected period 4, got {tiling.p}")
+    w = tiling.words
+    words = w // 2 if not (w % 2).any() else (w >= 2).astype(w.dtype)
+    distinct = tuple(map(tuple, np.unique(words, axis=0).tolist()))  # sorted rows
+    code = TupleCode(q=2, length=tiling.n, codewords=distinct)
+    ok, reason = is_perfect_oracle(code)
+    if not ok:
+        raise ValueError(f"image is not a perfect code ({reason}); corrupt tiling?")
+    return code
+
+
+def _as_set(result):
+    """A code as (q, length, sorted codewords), recursively; anything else as is."""
+    if isinstance(result, (BlockCode, TupleCode)):
+        return result.q, result.length, tuple(sorted(result.codewords))
+    if isinstance(result, tuple) and not _failed(result):
+        return tuple(map(_as_set, result))
+    return result
+
+
 # The per-family constructions and locators, as they stood on the transcribed
 # tables; the perfectness check inside them is the library's, which
 # test_is_perfect_matches_sphere_walk holds to its own oracle.
@@ -329,6 +407,10 @@ def _outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return ("ValueError", str(exc))
+
+
+def _failed(outcome) -> bool:
+    return isinstance(outcome, tuple) and outcome[:1] == ("ValueError",)
 
 
 @st.composite
@@ -498,6 +580,23 @@ def _result_or_type(fn, *args):
         return type(exc)
 
 
+def _perturbed_hamming(data):
+    """A Hamming code and its distinct words, moved, dropped or added, shuffled."""
+    code = data.draw(st.sampled_from([*BINARY.values(), *TERNARY.values()]))
+    words = list(code.codewords)
+    random.Random(data.draw(st.integers(0, 2**32))).shuffle(words)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(words) - 1))
+        j = data.draw(st.integers(0, code.length - 1))
+        symbol = data.draw(st.integers(0, code.q - 1))
+        words[i] = words[i][:j] + (symbol,) + words[i][j + 1 :]
+    if data.draw(st.booleans()):
+        words.append(tuple(data.draw(st.integers(0, code.q - 1)) for _ in range(code.length)))
+    if len(words) > 1 and data.draw(st.booleans()):
+        words.pop(data.draw(st.integers(0, len(words) - 1)))
+    return code, tuple(dict.fromkeys(words))
+
+
 def test_perfect_matches_sphere_walk():
     # Hamming codes with codewords moved, dropped or added, in shuffled order
     seen = set()
@@ -505,25 +604,111 @@ def test_perfect_matches_sphere_walk():
     @PROFILE
     @given(data=st.data())
     def check(data):
-        code = data.draw(st.sampled_from([*BINARY.values(), *TERNARY.values()]))
-        words = list(code.codewords)
-        random.Random(data.draw(st.integers(0, 2**32))).shuffle(words)
-        for _ in range(data.draw(st.integers(0, 2))):
-            i = data.draw(st.integers(0, len(words) - 1))
-            j = data.draw(st.integers(0, code.length - 1))
-            symbol = data.draw(st.integers(0, code.q - 1))
-            words[i] = words[i][:j] + (symbol,) + words[i][j + 1 :]
-        if data.draw(st.booleans()):
-            words.append(tuple(data.draw(st.integers(0, code.q - 1)) for _ in range(code.length)))
-        if len(words) > 1 and data.draw(st.booleans()):
-            words.pop(data.draw(st.integers(0, len(words) - 1)))
-        perturbed = BlockCode(q=code.q, length=code.length, codewords=tuple(dict.fromkeys(words)))
+        code, words = _perturbed_hamming(data)
+        perturbed = BlockCode(q=code.q, length=code.length, codewords=words)
         want = is_perfect_oracle(perturbed)
         assert is_perfect(perturbed) == want
         seen.add(want[1].split()[0])
 
     check()
     assert seen == {"perfect:", "size", "spheres"}
+
+
+def test_block_code_matches_tuple_validation():
+    # shuffled, duplicated, ragged, out of range, negative, past int64 and empty
+    # word lists: the same verdict naming the same word, and the same set, sorted
+    seen = set()
+    huge = [2**63, 2**70, -(2**63) - 1]
+
+    @PROFILE
+    @given(data=st.data())
+    def check(data):
+        q, length = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(1, 4))
+        words = list(data.draw(st.sets(st.tuples(*[st.integers(0, q - 1)] * length),
+                                       max_size=8)))
+        bad = {"outside": st.integers(q, q + 1), "negative": st.integers(-2, -1),
+               "huge": st.sampled_from(huge)}
+        changes = st.sampled_from([None, *bad, "ragged", "duplicate"])
+        for change in (data.draw(changes), data.draw(changes)):
+            if change is None or not words:
+                continue
+            i = data.draw(st.integers(0, len(words) - 1))
+            if change == "ragged":
+                words[i] = words[i][:-1] if data.draw(st.booleans()) else words[i] + (0,)
+            elif change == "duplicate":
+                words.append(words[i])
+            else:
+                words[i] = (data.draw(bad[change]),) + words[i][1:]
+        words = data.draw(st.permutations(words))
+        want = _outcome(lambda: TupleCode(q, length, tuple(words)).codewords)
+        got = _outcome(lambda: BlockCode(q=q, length=length, codewords=words).codewords)
+        if _failed(want):
+            message = want[1].replace(f"has symbols outside Z_{q}", f"outside window of period {q}")
+            assert got == ("ValueError", message)
+            seen.add("duplicate" if "duplicate" in message else "length" if "length" in message
+                     else "past-int64" if any(str(v) in message for v in huge)
+                     else "negative" if "-" in message else "range")
+            return
+        assert got == tuple(sorted(words)) and set(got) == set(words)
+        for rows in (np.array(got, dtype=np.int64).reshape(-1, length), [list(w) for w in got]):
+            assert BlockCode(q=q, length=length, codewords=rows).codewords == got
+        seen.add("accepted" if words else "empty")
+
+    check()
+    assert seen == {"accepted", "empty", "length", "duplicate", "range", "negative",
+                    "past-int64"}
+
+
+def test_derived_codes_match_tuple_code():
+    # puncture, weight split and minimum distance of perturbed Hamming codes
+    seen = set()
+
+    @PROFILE
+    @given(data=st.data())
+    def check(data):
+        code, words = _perturbed_hamming(data)
+        new = BlockCode(q=code.q, length=code.length, codewords=words)
+        old = TupleCode(q=code.q, length=code.length, codewords=words)
+        pairs = [(codes.puncture, puncture_oracle), (codes.weight_split, weight_split_oracle)]
+        if len(words) <= 256:  # the pairwise scan of the 2,048-word code takes 0.1 s
+            pairs.append((codes.min_hamming_distance, min_hamming_distance_oracle))
+        for fn, oracle in pairs:
+            want = _as_set(_outcome(oracle, old))
+            assert _as_set(_outcome(fn, new)) == want
+            seen.add((fn.__name__, _failed(want)))
+
+    check()
+    assert seen >= {("puncture", False), ("puncture", True), ("weight_split", False),
+                    ("weight_split", True), ("min_hamming_distance", False)}
+
+
+def test_to_binary_perfect_matches_tuple_round_trip():
+    # binary and punctured tilings, some with a codeword dropped or moved
+    seen = set()
+
+    @PROFILE
+    @given(data=st.data())
+    def check(data):
+        t = data.draw(st.sampled_from([2, 3]))
+        build = data.draw(st.sampled_from([constructions.from_binary_perfect,
+                                           constructions.punctured_construction]))
+        tiling = build(BINARY[t])
+        words = set(tiling.codewords)
+        change = data.draw(st.sampled_from(["none", "drop", "move"]))
+        if change != "none":
+            words.discard(data.draw(st.sampled_from(sorted(words))))
+        if change == "move":
+            words.add(tuple(data.draw(st.integers(0, 3)) for _ in range(tiling.n)))
+        tiling = PeriodicTiling(n=tiling.n, p=4, codewords=words)
+        want = _as_set(_outcome(to_binary_perfect_oracle, tiling))
+        assert _as_set(_outcome(constructions.to_binary_perfect, tiling)) == want
+        seen.add(_failed(want))
+
+    check()
+    assert seen == {False, True}
+    period_12 = PeriodicTiling(n=2, p=12, codewords=LAMBDA2_WORDS)
+    assert (_outcome(constructions.to_binary_perfect, period_12)
+            == _outcome(to_binary_perfect_oracle, period_12))
 
 
 @PROFILE

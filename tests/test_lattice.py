@@ -202,6 +202,18 @@ def test_lattice_file_round_trip(tmp_path):
     assert path.read_text(encoding="ascii") == want
 
 
+def test_lattice_file_rows_read_back_as_python_ints(tmp_path):
+    # entries within int64 parse as one int64 array, and those past it row by
+    # row; either way the determinant must not wrap in fixed-width products
+    path = tmp_path / "big.lattice"
+    for big, det in ((2**40, 2**80 - 1), (2**70, 2**140 - 1)):
+        path.write_text(f"LATTICE v1\nn 2\n{big} 1\n1 {big}\n", encoding="ascii")
+        back = read_lattice(path)
+        assert back == IntegerLattice(n=2, generator=((big, 1), (1, big)))
+        assert {type(v) for row in back.generator for v in row} == {int}
+        assert volume(back) == det
+
+
 def test_lattice_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.lattice"
     path.write_text("LATTICE v1\nn 2\n1 2\n2 4\n")

@@ -6,18 +6,40 @@ from pathlib import Path
 import halfcross
 
 
+def _library_nodes():
+    """(file name, node) for every AST node of every library module."""
+    for path in sorted(Path(halfcross.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
 def test_no_assert_statements_in_library():
     # assert statements vanish under python -O, and AssertionError reads as a
     # failed assert; runtime checks must raise a typed error
     found = []
-    for path in sorted(Path(halfcross.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            raised = node.exc if isinstance(node, ast.Raise) else None
-            if isinstance(raised, ast.Call):
-                raised = raised.func
-            if isinstance(node, ast.Assert) or (
-                isinstance(raised, ast.Name) and raised.id == "AssertionError"
-            ):
-                found.append(f"{path.name}:{node.lineno}")
+    for name, node in _library_nodes():
+        raised = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(raised, ast.Call):
+            raised = raised.func
+        if isinstance(node, ast.Assert) or (
+            isinstance(raised, ast.Name) and raised.id == "AssertionError"
+        ):
+            found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_codeword_view_is_never_turned_back_into_an_array():
+    # codes and tilings hold their words as one array, ``words``; building an
+    # array from the tuple view ``codewords`` is a second copy of that array
+    found = []
+    for name, node in _library_nodes():
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (isinstance(func, ast.Attribute) and func.attr in ("array", "asarray")
+                and isinstance(func.value, ast.Name) and func.value.id == "np"):
+            continue
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "codewords"
+               for arg in args for sub in ast.walk(arg)):
+            found.append(f"{name}:{node.lineno}")
     assert found == []
