@@ -18,6 +18,10 @@ from pathlib import Path
 import numpy as np
 
 
+#: the largest header value: numpy's largest array dimension (2^63 - 1 on 64-bit)
+_LARGEST = int(np.iinfo(np.intp).max)
+
+
 class FormatError(ValueError):
     """A v1 file failed to parse."""
 
@@ -82,6 +86,8 @@ def read(
             if name != key:
                 raise error(f"line {i + 1}: expected {key!r}, got {lines[i]!r}")
             values.append(int(value))
+            if values[-1] > _LARGEST:  # no array could have this many rows or columns
+                raise error(f"line {i + 1}: {key} must be at most {_LARGEST}, got {value}")
         count = values[-1]
         if count < 0:
             raise error(f"{keys[-1]} must be >= 0, got {count}")

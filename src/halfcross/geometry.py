@@ -19,7 +19,7 @@ Point = tuple[int, ...]
 
 #: offset entries that count as "exceptional" (at most one per offset vector)
 _EXCEPTIONAL = (-1, 2)
-#: pairwise minima compare row blocks against all k rows, about this many pairs at once
+#: pairwise minima compare row blocks against all k rows, about this many entries at once
 _PAIR_CHUNK = 2_000_000
 
 
@@ -91,7 +91,7 @@ def pairwise_minimum(
     if k < 2:
         raise ValueError(f"pairwise minimum needs at least 2 words, got {k}")
     best = None
-    chunk = max(1, _PAIR_CHUNK // k)
+    chunk = max(1, _PAIR_CHUNK // (k * words.shape[1]))
     for lo in range(0, k, chunk):
         d = distance(words[lo : lo + chunk, None, :], words[None, :, :])
         rows = np.arange(d.shape[0])
@@ -111,6 +111,8 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
 def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
     """The codewords as a sorted array; ValueError names the first codeword, in the
     given order, of the wrong length, outside 0..p-1, or equal to an earlier one."""
+    if n > np.iinfo(np.intp).max:  # no array has that many columns
+        raise ValueError(f"word length {n} exceeds the largest array dimension")
     if not isinstance(codewords, np.ndarray):
         codewords = tuple(codewords)
         try:

@@ -4,12 +4,14 @@ A periodic tiling with period p is stored by its window codewords in
 {0,..,p-1}^n: one sorted array, whose rows are sorted, deduplicated and looked
 up through big-endian byte keys.  Verification marks, for every codeword X
 and shape offset D, the cell (X - D) mod p, and demands that every cell of the
-p^n window is marked exactly once.  The window is sharded by the last coordinate so the
-12^8-cell case fits comfortably in memory.  A shard's marks are broadcast
-outer sums of per-codeword tables (one entry per coordinate and offset
-entry), written into one buffer, sorted once and scanned in slices: adjacent
-differences count the uncovered and multiply covered cells, and the first
-place the sorted marks leave the range 0, 1, ... names the lowest bad cell.
+p^n window is marked exactly once.  The window is sharded by as many trailing
+coordinates as keep each shard's marks within a fixed count (4 MiB of int32),
+decided from the codeword counts before anything is written, so memory stays
+flat however large the window.  A shard's marks are broadcast outer sums of
+per-codeword tables (one entry per coordinate and offset entry), written into
+one buffer, sorted once and scanned in slices: adjacent differences count the
+uncovered and multiply covered cells, and the first place the sorted marks
+leave the range 0, 1, ... names the lowest bad cell.
 """
 
 from __future__ import annotations
@@ -17,13 +19,21 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, _row_keys, _WordArray, index_to_point, pairwise_minimum, torus_covers
+from .geometry import (
+    Point,
+    _row_keys,
+    _WordArray,
+    index_to_point,
+    pairwise_minimum,
+    point_to_index,
+    torus_covers,
+)
 
 #: default ceiling on window size p^n (the 12^8 case, criterion scale)
 DEFAULT_CELL_BUDGET = 12**8
@@ -35,6 +45,8 @@ DEFAULT_PAIR_BUDGET = 10**8
 _ENTRIES = (-1, 0, 1, 2)
 #: sorted marks are scanned (counts and witness) in slices this long
 _SCAN_SLICE = 2_000_000
+#: the window is split until no shard holds more marks than this (4 MiB of int32)
+_SHARD_MARKS = 1 << 20
 
 
 class CellBudgetExceeded(ValueError):
@@ -245,53 +257,110 @@ def _first_mismatch(arr: np.ndarray, stop: int) -> int:
     return stop
 
 
-def verify(
-    tiling: PeriodicTiling,
-    *,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> VerificationReport:
-    """Exact-cover check of the full p^n window.
+def _trailing_offsets(s: int) -> np.ndarray:
+    """The offsets' last s entries, as the (2^s (s+1), s) array of the rows in
+    {-1,0,1,2}^s with at most one entry in {-1, 2}: the 2^s core rows (every
+    entry 0 or 1) first."""
+    core = np.arange(1 << s)[:, None] >> np.arange(s) & 1
+    arms = [np.where(np.arange(s) == r, e, core[core[:, r] == 0])
+            for r in range(s) for e in (-1, 2)]
+    return np.concatenate([core, *arms])
 
-    Marks (X - D) mod p for every codeword X and offset D, sharded by the
-    cell's last coordinate.  A shard's marks are outer sums of small
-    per-codeword tables, one entry per coordinate, since the offsets are
-    exactly the D in {-1,0,1,2}^n with at most one entry in {-1, 2}; they are
-    written into one buffer and sorted once.  Adjacent differences of the
-    sorted marks, taken in slices, count the distinct cells and the cells
-    marked more than once, so exact-once covering (and hence both the packing
-    and covering properties) takes one sort and one scan per shard.  The
-    first bad shard's sorted marks are also compared against the range 0, 1,
-    ..., whose first mismatch names the lowest bad cell.  Cell indices are
-    int32 while a shard has fewer than 2^31 cells and int64 beyond.  The
-    minimum torus cross distance over codeword pairs is reported when the
-    pair count is within budget.
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo[0], .., hi[0] - 1, then lo[1], .., hi[1] - 1, and so on."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _split(words: np.ndarray, p: int):
+    """Shard the window by its last s coordinates: s is the fewest for which no
+    shard holds more than ``_SHARD_MARKS`` marks and a shard's p^(n-s) cell
+    indices fit int64, or n - 1 when there is none.
+
+    One argsort orders the codewords by trailing index (the last coordinate
+    most significant), which makes the group of every trailing value
+    contiguous for every s.  Shard c takes group c + e for each trailing
+    offset e, with arms only where e is a core row, so its marks are counted
+    from the group sizes before any is written.  A group meets a shard
+    through at most one e (p >= 4), so a count is at most k 2^m (m+1) for the
+    m = n - s leading coordinates: below k 2^20 once a group's own shard
+    passes the cap, at most 4k at s = n - 1, and int64 never wraps.
+
+    Returns s, the codeword order, the largest shard's mark count, and the
+    shards holding marks in increasing trailing index, as (trailing index,
+    positions in that order of the codewords the shard takes, how many of
+    them, leading, are taken with arms).
     """
-    n, p = tiling.n, tiling.p
-    if window_exceeds(p, n, cell_budget):
-        raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
-    total = p**n
-    shard_size = total // p
-    dtype = np.int32 if shard_size < 2**31 else np.int64
-    k = len(tiling)
-    words = tiling.words
+    k, n = words.shape
+    rev = words[:, ::-1]
+    order = np.argsort(_row_keys(rev), kind="stable")
+    rev = rev[order]
+    # consecutive rows share this many last coordinates
+    shared = (rev[1:] != rev[:-1]).argmax(axis=1)
+    for s in range(n):
+        m = n - s
+        starts = np.flatnonzero(np.r_[k > 0, shared < s])
+        sizes = np.diff(np.r_[starts, k])
+        last = s == n - 1
+        # a group's own shard alone takes all its 2^m (m+1) marks per codeword
+        if not last and (window_exceeds(p, m, 2**63 - 1)
+                         or int(sizes.max(initial=0)) * 2**m * (m + 1) > _SHARD_MARKS):
+            continue
+        # one entry per (offset, group), core offsets first: each shard's
+        # entries stay in that order, so those taken with arms lead
+        offsets = _trailing_offsets(s)
+        group = np.tile(np.arange(len(starts)), len(offsets))
+        arms = np.repeat(np.arange(len(offsets)) < 1 << s, len(starts))
+        cells = (rev[starts, :s].astype(np.int64) - offsets[:, None]) % p
+        cells = cells.reshape(len(group), s).astype(words.dtype)
+        weight = sizes[group] * np.where(arms, m + 1, 1) << m
+        if s:
+            sort = np.argsort(_row_keys(cells), kind="stable")
+            cells, group, arms, weight = cells[sort], group[sort], arms[sort], weight[sort]
+        first = np.flatnonzero(np.r_[k > 0, (cells[1:] != cells[:-1]).any(axis=1)])
+        most = int(np.add.reduceat(weight, first).max()) if k else 0
+        if last or most <= _SHARD_MARKS:
+            break
+    ends = np.r_[starts[1:], k]
 
-    # mark tables of the codewords grouped by their last coordinate value;
-    # shard c takes the group c + d for each last offset entry d, with arms
-    # only where d is 0 or 1
-    tables = [_mark_tables(words[words[:, n - 1] == v, : n - 1], p, dtype) for v in range(p)]
-    shards = [[(tables[(c + d) % p], d in (0, 1)) for d in _ENTRIES] for c in range(p)]
-    per_word = 1 << (n - 1)
-    buf = np.empty(
-        max(sum(t.shape[2] * per_word * (n if arms else 1) for t, arms in s) for s in shards),
-        dtype=dtype,
-    )
+    def shards():
+        for lo, hi in zip(first, np.r_[first[1:], len(group)]):
+            g = group[lo:hi]
+            c = point_to_index(cells[lo, ::-1].tolist(), p)
+            yield c, _ranges(starts[g], ends[g]), int(sizes[g[arms[lo:hi]]].sum())
+
+    return s, order, most, shards()
+
+
+def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
+    """(uncovered, multiply covered, index of the lowest bad cell or None) of the
+    window, one shard at a time in increasing trailing index (see ``verify``)."""
+    k, n = words.shape
+    s, order, most, shards = _split(words, p)
+    m = n - s
+    shard_size = p**m
+    dtype = np.int32 if shard_size < 2**31 else np.int64
+    # every codeword's table, in that order, built 2^18 entries at a time
+    tables = np.empty((m, len(_ENTRIES), k), dtype=dtype)
+    step = max(1, (_SHARD_MARKS >> 2) // (len(_ENTRIES) * m))
+    for lo in range(0, k, step):
+        tables[..., lo : lo + step] = _mark_tables(words[order[lo : lo + step], :m], p, dtype)
+    buf = np.empty(most, dtype=dtype)
     uncovered = multiply = 0
-    witness_idx: int | None = None
-    for c, groups in enumerate(shards):
-        pos = 0
-        for t, arms in groups:
-            pos += _write_marks(t, buf[pos:], arms)
+    witness_idx = None
+    done = 0  # the shards below this trailing index are counted
+    for c, rows, with_arms in chain(shards, [(p**s, None, 0)]):
+        if c > done:  # no codeword reaches these shards: every cell is uncovered
+            uncovered += (c - done) * shard_size
+            if witness_idx is None:
+                witness_idx = done * shard_size
+        if rows is None:
+            break
+        done = c + 1
+        t = tables[..., rows]
+        pos = _write_marks(t[..., :with_arms], buf, True)
+        pos += _write_marks(t[..., with_arms:], buf[pos:], False)
         arr = buf[:pos]
         arr.sort()
         distinct, runs = _count_runs(arr)
@@ -305,7 +374,42 @@ def verify(
             i = _first_mismatch(arr, min(pos, shard_size + 1))
             bad = i - 1 if i < pos and arr[i] < i else i
             witness_idx = bad + c * shard_size
-    del buf, arr, tables, shards  # the marks are done with; free them first
+    return uncovered, multiply, witness_idx
+
+
+def verify(
+    tiling: PeriodicTiling,
+    *,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+) -> VerificationReport:
+    """Exact-cover check of the full p^n window.
+
+    Marks (X - D) mod p for every codeword X and offset D, sharded by the
+    cell's last s coordinates, s the fewest that keep every shard within
+    ``_SHARD_MARKS`` marks (see ``_split``); shards run in increasing
+    trailing index, and those no codeword reaches count as uncovered without
+    being written.  A shard's marks are outer sums of small per-codeword
+    tables, one entry per coordinate, since the offsets are exactly the D in
+    {-1,0,1,2}^n with at most one entry in {-1, 2}; they are written into one
+    buffer and sorted once.  Adjacent differences of the sorted marks, taken
+    in slices, count the distinct cells and the cells marked more than once,
+    so exact-once covering (and hence both the packing and covering
+    properties) takes one sort and one scan per shard.  The first bad shard's
+    sorted marks are also compared against the range 0, 1, ..., whose first
+    mismatch names the lowest bad cell.  Cell indices are int32 while a shard
+    has fewer than 2^31 cells and int64 beyond.  The minimum torus cross
+    distance over codeword pairs is reported when the pair count is within
+    budget.
+    """
+    n, p = tiling.n, tiling.p
+    if window_exceeds(p, n, cell_budget):
+        raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
+    total = p**n
+    k = len(tiling)
+    words = tiling.words
+
+    uncovered, multiply, witness_idx = _count_shards(words, p)
 
     first_witness = None
     if witness_idx is not None:

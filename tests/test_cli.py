@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import halfcross
@@ -208,6 +209,28 @@ def test_huge_sizes_are_refused_before_any_power_is_built(tmp_path, argv, code_t
     usage = argv[0] == "gen-code"
     assert (done.returncode, done.stdout, done.stderr) == (
         EXIT_USAGE if usage else EXIT_PRECONDITION, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, name, text, line",
+    [
+        (("build-tiling", "--method", "binary", "--code", "huge", "--out", "x.tiling"),
+         "huge", "CODE v1\nq 2\nn 100000000000000000000\ncount 0\n", 3),
+        (("verify", "--tiling", "huge"),
+         "huge", "TILING v1\nn 100000000000000000000\np 4\ncount 0\n", 2),
+    ],
+    ids=["code", "tiling"],
+)
+def test_impossible_dimension_is_refused_by_name(tmp_path, argv, name, text, line):
+    # no array has 10^20 columns; the reader names the key before one is built
+    (tmp_path / name).write_text(text, encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(Path(halfcross.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "halfcross.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=15)
+    largest = np.iinfo(np.intp).max
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_USAGE, "", f"error: line {line}: n must be at most {largest}, "
+        "got 100000000000000000000\n")
 
 
 def test_exist_admissible(tmp_path, capsys):

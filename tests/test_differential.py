@@ -16,6 +16,7 @@ derandomized, so every run draws the same examples.
 import itertools
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from unittest import mock
 
@@ -25,8 +26,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from halfcross import codes, constructions, lattice
+from halfcross import tiling as tiling_module
 from halfcross.codes import BlockCode, decode_within_1, is_perfect
-from halfcross.geometry import Point, covers, pairwise_minimum
+from halfcross.geometry import (
+    Point,
+    covers,
+    index_to_point,
+    pairwise_minimum,
+    torus_covers,
+    upsilon_offsets,
+)
 from halfcross.lattice import (
     IntegerLattice,
     _hnf,
@@ -35,17 +44,29 @@ from halfcross.lattice import (
     window,
 )
 from halfcross.tiling import (
+    _ENTRIES,
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_PAIR_BUDGET,
+    CellBudgetExceeded,
     PeriodicTiling,
     VerificationReport,
+    _count_runs,
+    _first_mismatch,
+    _mark_tables,
+    _min_torus_cross_distance,
+    _write_marks,
     is_periodic_with,
     normalize,
     permute,
     read_tiling,
+    power_text,
     reflect,
     structural_audit,
     verify,
+    window_exceeds,
     write_tiling,
 )
+from test_tiling import verify_oracle
 
 PROFILE = settings(
     derandomize=True,
@@ -108,6 +129,83 @@ def reflect_oracle(words, p, signs):
     return tuple(sorted(
         tuple(v if a == 1 else (-v) % p for v, a in zip(w, signs)) for w in words
     ))
+
+
+def verify_last_coordinate(
+    tiling: PeriodicTiling,
+    *,
+    cell_budget: int = DEFAULT_CELL_BUDGET,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+) -> VerificationReport:
+    """The window verifier as it sharded by the last coordinate only: one shard
+    per value of it, every shard written in full (kept verbatim)."""
+    n, p = tiling.n, tiling.p
+    if window_exceeds(p, n, cell_budget):
+        raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
+    total = p**n
+    shard_size = total // p
+    dtype = np.int32 if shard_size < 2**31 else np.int64
+    k = len(tiling)
+    words = tiling.words
+
+    # mark tables of the codewords grouped by their last coordinate value;
+    # shard c takes the group c + d for each last offset entry d, with arms
+    # only where d is 0 or 1
+    tables = [_mark_tables(words[words[:, n - 1] == v, : n - 1], p, dtype) for v in range(p)]
+    shards = [[(tables[(c + d) % p], d in (0, 1)) for d in _ENTRIES] for c in range(p)]
+    per_word = 1 << (n - 1)
+    buf = np.empty(
+        max(sum(t.shape[2] * per_word * (n if arms else 1) for t, arms in s) for s in shards),
+        dtype=dtype,
+    )
+    uncovered = multiply = 0
+    witness_idx: int | None = None
+    for c, groups in enumerate(shards):
+        pos = 0
+        for t, arms in groups:
+            pos += _write_marks(t, buf[pos:], arms)
+        arr = buf[:pos]
+        arr.sort()
+        distinct, runs = _count_runs(arr)
+        if distinct == shard_size and runs == 0:
+            continue
+        uncovered += shard_size - distinct
+        multiply += runs
+        if witness_idx is None:
+            # marks below i equal 0..i-1; arr[i] > i leaves cell i uncovered,
+            # arr[i] < i (so arr[i] == i - 1) covers cell i - 1 twice
+            i = _first_mismatch(arr, min(pos, shard_size + 1))
+            bad = i - 1 if i < pos and arr[i] < i else i
+            witness_idx = bad + c * shard_size
+    del buf, arr, tables, shards  # the marks are done with; free them first
+
+    first_witness = None
+    if witness_idx is not None:
+        cell = index_to_point(witness_idx, n, p)
+        covering = words[torus_covers(words, cell, p)]
+        first_witness = (cell, tuple(map(tuple, covering.tolist())))
+
+    min_dc = None
+    if k >= 2 and k * k <= pair_budget:
+        min_dc = _min_torus_cross_distance(tiling)
+
+    return VerificationReport(
+        is_tiling=(uncovered == 0 and multiply == 0),
+        cells_total=total,
+        multiply_covered=multiply,
+        uncovered=uncovered,
+        first_witness=first_witness,
+        min_cross_distance=min_dc,
+    )
+
+
+
+def shard_marks_oracle(words, n, p):
+    """For s = 0, .., n - 1, the most marks (codeword, offset) that fall in one
+    shard of the cells sharing their last s coordinates, counted cell by cell."""
+    cells = [tuple((a - b) % p for a, b in zip(x, d))
+             for x in words for d in upsilon_offsets(n).offsets]
+    return [max(Counter(c[n - s :] for c in cells).values(), default=0) for s in range(n)]
 
 
 def periodic_oracle(words, n, p, p2):
@@ -542,6 +640,65 @@ def test_witness_and_audit_extraction_match_oracle(case):
         fake = VerificationReport(True, p**n, 0, 0)
         audit = structural_audit(t, fake)
         assert (audit.f1_pairs, audit.f2_triples) == f1_f2_oracle(words)
+
+
+def _check_every_split(n, p, words):
+    """verify with the shard-mark cap set so that the split takes every s from 0
+    to n - 1 (and the cap below every shard, which falls back to n - 1) gives
+    the report of the last-coordinate verifier and the per-cell counter."""
+    t = PeriodicTiling(n=n, p=p, codewords=words)
+    want = verify_last_coordinate(t)
+    uncovered, multiply, witness = verify_oracle(t)
+    assert (want.uncovered, want.multiply_covered) == (uncovered, multiply)
+    if want.first_witness is not None:
+        cell, covering = want.first_witness
+        assert (cell, len(covering)) == witness
+        assert covering == tuple(w for w in words if torus_covers_oracle(w, cell, p))
+    split = tiling_module._split
+    chosen = []
+
+    def spy(*args):
+        plan = split(*args)
+        chosen.append(plan[0])
+        return plan
+
+    caps = [*enumerate(shard_marks_oracle(words, n, p)), (n - 1, 0)]
+    for s, cap in caps:
+        with mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
+                mock.patch.object(tiling_module, "_split", spy):
+            assert verify(t) == want, (s, cap)
+        # a shard's most marks fall with every coordinate added to s (each
+        # codeword's spread over two values of it), so s is the fewest in cap
+        assert chosen.pop() == (s if words else 0)
+    return want
+
+
+@PROFILE
+@given(case=word_sets())
+def test_every_shard_split_matches_last_coordinate_and_per_cell(case):
+    _check_every_split(*case)
+
+
+@pytest.mark.parametrize(
+    "p, words, cell",
+    [
+        # Lambda_2 less (9, 10): groups 1, 3, 5, 7 of the last coordinate are
+        # empty, and the first bad cell lies in the shard of last coordinate 8
+        (12, tuple(w for w in LAMBDA2_WORDS if w != (9, 10)), (8, 8)),
+        # no codeword reaches the shards of last coordinate 0, 1 and 2
+        (12, ((5, 5),), (0, 0)),
+    ],
+)
+def test_split_finds_the_first_bad_cell_in_a_later_shard(p, words, cell):
+    report = _check_every_split(2, p, words)
+    assert report.first_witness[0] == cell
+
+
+def test_split_counts_every_group_a_shard_takes():
+    # at s = 2 each group alone brings 12 marks to its own shard, but the shard
+    # of last coordinates (0, 0) takes all three groups: 36 marks, so a cap of
+    # 12 needs s = 3
+    _check_every_split(4, 4, ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
 
 
 def test_strategies_reach_every_kind_of_case():

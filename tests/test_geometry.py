@@ -156,7 +156,7 @@ def test_dimension_mismatch():
 
 
 def test_pairwise_minimum_matches_per_pair_loop(monkeypatch):
-    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 20)  # ten rows make five blocks
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 60)  # ten rows of three make five blocks
     rng = random.Random(20)
     for _ in range(60):
         n, k = rng.randint(1, 5), rng.randint(2, 10)
@@ -176,8 +176,8 @@ def test_pairwise_minimum_matches_per_pair_loop(monkeypatch):
 
 
 def test_pairwise_minimum_close_pair_straddles_chunks(monkeypatch):
-    # six rows in blocks of two; the only pair at distance 1 is rows 1 and 2
-    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 12)
+    # six rows of six in blocks of two; the only pair at distance 1 is rows 1 and 2
+    monkeypatch.setattr(geometry, "_PAIR_CHUNK", 72)
     words = (
         (0, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 1),
         (0, 0, 0, 1, 1, 1), (1, 1, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1),
@@ -197,3 +197,10 @@ def test_index_point_round_trip():
         assert len(x) == n and all(0 <= v < p for v in x)
         assert sum(v * p**i for i, v in enumerate(x)) == idx  # coordinate 1 fastest
         assert point_to_index(x, p) == idx
+
+
+def test_word_arrays_refuse_an_impossible_length_by_value():
+    for build in (lambda: PeriodicTiling(n=10**20, p=4, codewords=()),
+                  lambda: BlockCode(q=2, length=10**20, codewords=())):
+        with pytest.raises(ValueError, match="word length 100000000000000000000 exceeds"):
+            build()

@@ -179,7 +179,7 @@ def test_verify_witness_multiply_covered():
 
 
 def test_verify_witness_past_int32_cell_indices():
-    # 4^16 cells per shard: the witness index must not wrap at 2^31
+    # 4^17 cells in sixteen 4^15-cell shards: the witness index must not wrap at 2^31
     n, p = 17, 4
     t = PeriodicTiling(n=n, p=p, codewords=((0,) * n,))
     report = verify(t, cell_budget=10**12)
@@ -190,6 +190,16 @@ def test_verify_witness_past_int32_cell_indices():
     for lower in range(index):
         below = tuple((lower // p**i) % p for i in range(n))
         assert sum(torus_covers(w, below, p) for w in t.codewords) == 1
+
+
+def test_verify_int64_shard_indices():
+    # one codeword in 8^17 cells: its marks fit two-coordinate shards of 8^15
+    # cells, whose indices (5 * 8^14 and up here) would wrap in int32 and collide
+    n, p = 17, 8
+    x = (0,) * 14 + (5, 0, 0)
+    report = verify(PeriodicTiling(n=n, p=p, codewords=(x,)), cell_budget=p**n)
+    assert (report.uncovered, report.multiply_covered) == (p**n - 2**n * (n + 1), 0)
+    assert report.first_witness == ((0,) * n, ())
 
 
 def test_min_cross_distance_needs_two_codewords():
