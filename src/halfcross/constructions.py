@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lattice as lat
 from .codes import BlockCode, decode_within_1, is_perfect
-from .geometry import Point, covers, upsilon_offsets
+from .geometry import Point, _offsets, covers
 from .tiling import PeriodicTiling
 
 # pair representative of each ternary symbol
@@ -49,7 +49,7 @@ def _route(phi_rows: tuple[Point, ...], block: tuple[Point, ...], p: int) -> _Ro
     q, m = phi.shape
     hnf = lat._hnf(block)
     residues = np.array(list(product(*(range(row[k]) for k, row in enumerate(hnf)))))
-    offsets = np.array(upsilon_offsets(m).offsets)
+    offsets = _offsets(m)
     # hit[b, s, d]: b + d - phi(s) lies in L
     diff = residues[:, None, None] + offsets[None, None] - phi[None, :, None]
     hit = ~lat._reduce(hnf, diff.reshape(-1, m)).any(axis=1)

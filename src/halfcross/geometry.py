@@ -2,8 +2,8 @@
 
 The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
-set: a codeword X covers a cell A exactly when X - A lies in the offset set
-returned by :func:`upsilon_offsets`.
+set Upsilon_n: a codeword X covers a cell A exactly when X - A lies in it.
+Only :func:`_offsets` enumerates it; :func:`upsilon_offsets` has a tuple view.
 """
 
 from __future__ import annotations
@@ -11,14 +11,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
 Point = tuple[int, ...]
 
-#: offset entries that count as "exceptional" (at most one per offset vector)
-_EXCEPTIONAL = (-1, 2)
 #: pairwise minima compare row blocks against all k rows, about this many entries at once
 _PAIR_CHUNK = 2_000_000
 
@@ -95,7 +92,7 @@ def pairwise_minimum(
     for lo in range(0, k, chunk):
         d = distance(words[lo : lo + chunk, None, :], words[None, :, :])
         rows = np.arange(d.shape[0])
-        d[rows, lo + rows] = np.iinfo(d.dtype).max
+        d[rows, lo + rows] = d.max() + 1  # above every distance, in any dtype
         m = int(d.min())
         best = m if best is None else min(best, m)
     return best
@@ -110,23 +107,30 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
 
 def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
     """The codewords as a sorted array; ValueError names the first codeword, in the
-    given order, of the wrong length, outside 0..p-1, or equal to an earlier one."""
+    given order, of the wrong length, with an entry that is not an integer, outside
+    0..p-1, or equal to an earlier one."""
     if n > np.iinfo(np.intp).max:  # no array has that many columns
         raise ValueError(f"word length {n} exceeds the largest array dimension")
     if not isinstance(codewords, np.ndarray):
-        codewords = tuple(codewords)
+        rows = tuple(codewords)
         try:
-            codewords = np.asarray(codewords, dtype=np.int64)
-        except (ValueError, OverflowError):  # ragged rows or entries past int64
-            codewords = np.asarray(codewords, dtype=object)
+            codewords = np.asarray(rows)
+        except ValueError:  # ragged rows
+            codewords = None
+        if codewords is None or codewords.dtype.kind not in "biu":
+            # the entries as given: numpy would guess floats for ints past int64
+            codewords = np.asarray(rows, dtype=object)
     if len(codewords) == 0:
         return np.empty((0, n), dtype=np.min_scalar_type(p - 1))
     if codewords.ndim != 2 or codewords.shape[1] != n:
         i = next(i for i, w in enumerate(codewords) if len(w) != n)
         _sorted_words(tuple(codewords[:i]), n, p)
         raise ValueError(f"codeword {tuple(map(int, codewords[i]))} has length != {n}")
-    outside = ((codewords < 0) | (codewords >= p)).any(axis=1)
-    end = int(np.argmax(outside)) if outside.any() else len(codewords)
+    exact = codewords.dtype.kind in "biu"
+    with np.errstate(invalid="ignore"):  # nan, and inf % 1 = nan, are fractions
+        fraction = np.zeros(len(codewords), bool) if exact else (codewords % 1 != 0).any(axis=1)
+        bad = fraction | ((codewords < 0) | (codewords >= p)).any(axis=1)
+    end = int(np.argmax(bad)) if bad.any() else len(codewords)
     words = codewords[:end].astype(np.min_scalar_type(p - 1))
     keys = _row_keys(words)
     order = np.argsort(keys, kind="stable")
@@ -135,9 +139,13 @@ def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
         w = words[order[1:][repeat].min()]
         raise ValueError(f"duplicate codeword {tuple(map(int, w))}")
     if end < len(codewords):
-        w = tuple(map(int, codewords[end]))
-        raise ValueError(f"codeword {w} outside window of period {p}")
+        why = "has a non-integer entry" if fraction[end] else f"outside window of period {p}"
+        raise ValueError(f"codeword {tuple(codewords[end].tolist())} {why}")
     return words[order]
+
+
+def _tuples(rows: np.ndarray) -> tuple[Point, ...]:  # rows as tuples of Python ints
+    return tuple(zip(*rows.T.tolist()))
 
 
 class _WordArray:
@@ -154,7 +162,7 @@ class _WordArray:
 
     @cached_property
     def codewords(self) -> tuple[Point, ...]:
-        return tuple(zip(*self.words.T.tolist()))
+        return _tuples(self.words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -172,7 +180,7 @@ class _WordArray:
 
     def __repr__(self) -> str:
         head = ", ".join(f"{name}={value}" for name, value in zip(self._header, self._head()))
-        return f"{type(self).__name__}({head}, codewords={self.codewords!r})"
+        return f"{type(self).__name__}({head}, codewords={_tuples(self.words)!r})"
 
 
 def index_to_point(idx: int, n: int, p: int) -> Point:
@@ -192,19 +200,32 @@ def point_to_index(x: Point, p: int) -> int:
     return idx
 
 
+def _offsets(n: int) -> np.ndarray:
+    """Upsilon_n, the D in {-1,0,1,2}^n with at most one entry in {-1, 2}, as a
+    (2^n (n+1), n) int8 array in the order the verifier writes its marks: the 2^n
+    core rows (row i has bit j of i at coordinate j), then for each coordinate r
+    the core rows with 0 at r, first with -1 put there and then with 2."""
+    core = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.int8)
+    arms = [np.where(np.arange(n) == r, e, core[core[:, r] == 0])
+            for r in range(n) for e in (-1, 2)]
+    return np.concatenate([core, *arms])
+
+
 @dataclass(frozen=True)
 class UpsilonShape:
-    """The half-cross shape of dimension n as a canonical offset set.
-
-    ``offsets`` holds every vector D = X - A such that a codeword at X covers
-    the cell A, in lexicographic order.
-    """
+    """The half-cross shape of dimension n.  ``offsets``, built on first access, is
+    Upsilon_n (every D = X - A such that a codeword at X covers the cell A) as the
+    lexicographically sorted tuple view of :func:`_offsets`."""
 
     n: int
-    offsets: tuple[Point, ...]
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return 2**self.n * (self.n + 1)
+
+    @cached_property
+    def offsets(self) -> tuple[Point, ...]:
+        rows = _offsets(self.n)
+        return _tuples(rows[np.lexsort(rows.T[::-1])])
 
     def cells(self, x: Point) -> set[Point]:
         """All cells covered by a codeword at x (in Z^n, no wraparound)."""
@@ -219,21 +240,10 @@ class UpsilonShape:
 
 @lru_cache(maxsize=None)
 def upsilon_offsets(n: int) -> UpsilonShape:
-    """Offset set of the n-dimensional half-cross: 2^n(n+1) vectors.
-
-    These are exactly the D in {-1,0,1,2}^n with at most one entry in {-1,2}.
-    Generated directly ({0,1}^n plus one exceptional coordinate) rather than
-    by filtering {-1,..,2}^n, so large n stay cheap.
-    """
+    """The n-dimensional half-cross, whose 2^n(n+1) offsets are built on first use."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    offsets: list[Point] = [tuple(core) for core in product((0, 1), repeat=n)]
-    for r in range(n):
-        for e in _EXCEPTIONAL:
-            for rest in product((0, 1), repeat=n - 1):
-                offsets.append(rest[:r] + (e,) + rest[r:])
-    offsets.sort()
-    return UpsilonShape(n=n, offsets=tuple(offsets))
+    return UpsilonShape(n=n)
 
 
 def covers(x: Point, a: Point) -> bool:

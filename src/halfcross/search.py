@@ -8,6 +8,7 @@ confirm existence and nonexistence at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .geometry import Point, index_to_point, point_to_index, upsilon_offsets
 from .tiling import PeriodicTiling, window_exceeds
@@ -29,6 +30,8 @@ class SearchConfig:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.p < 4:
             raise ValueError(f"period must be >= 4, got {self.p}")
+        if self.max_solutions < 1:
+            raise ValueError(f"max solutions must be >= 1, got {self.max_solutions}")
         if window_exceeds(self.p, self.n, MAX_SEARCH_CELLS):
             raise ValueError(
                 f"window {self.p}^{self.n} exceeds search scale "
@@ -71,17 +74,10 @@ def search_tilings(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats
     shape = upsilon_offsets(n)
     tiles_needed = total // len(shape)
 
-    cells_cache: dict[Point, list[int]] = {}
-
+    @cache
     def cells_of(x: Point) -> list[int]:
-        got = cells_cache.get(x)
-        if got is None:
-            got = [
-                point_to_index(tuple((xi - di) % p for xi, di in zip(x, off)), p)
-                for off in shape.offsets
-            ]
-            cells_cache[x] = got
-        return got
+        return [point_to_index(tuple((xi - di) % p for xi, di in zip(x, off)), p)
+                for off in shape.offsets]
 
     covered = bytearray(total)
     placed: list[Point] = []

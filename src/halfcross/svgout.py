@@ -34,10 +34,10 @@ def svg_document(tiling: PeriodicTiling) -> str:
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for rank, x in enumerate(tiling.codewords):
+    words = tiling.words.tolist()
+    for rank, x in enumerate(words):
         color = PALETTE[rank % len(PALETTE)]
-        for cell in sorted(shape.torus_cells(x, p)):
-            cx, cy = cell
+        for cx, cy in sorted(shape.torus_cells(x, p)):
             lines.append(
                 f'<rect x="{cx * CELL}" y="{(p - 1 - cy) * CELL}" '
                 f'width="{CELL}" height="{CELL}" fill="{color}"/>'
@@ -51,8 +51,7 @@ def svg_document(tiling: PeriodicTiling) -> str:
         lines.append(
             f'<line x1="0" y1="{t}" x2="{size}" y2="{t}" stroke="#444444" stroke-width="1"/>'
         )
-    for x in tiling.codewords:
-        cx, cy = x
+    for cx, cy in words:
         lines.append(
             f'<circle cx="{cx * CELL + CELL // 2}" cy="{(p - 1 - cy) * CELL + CELL // 2}" '
             f'r="{CELL // 5}" fill="#000000"/>'

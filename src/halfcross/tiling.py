@@ -8,10 +8,11 @@ p^n window is marked exactly once.  The window is sharded by as many trailing
 coordinates as keep each shard's marks within a fixed count (4 MiB of int32),
 decided from the codeword counts before anything is written, so memory stays
 flat however large the window.  A shard's marks are broadcast outer sums of
-per-codeword tables (one entry per coordinate and offset entry), written into
-one buffer, sorted once and scanned in slices: adjacent differences count the
-uncovered and multiply covered cells, and the first place the sorted marks
-leave the range 0, 1, ... names the lowest bad cell.
+per-codeword tables (one entry per coordinate and offset entry), written in
+the row order of ``geometry._offsets`` (which also gives the trailing offsets
+that pick each shard's codewords) into one buffer, sorted once and scanned in
+slices: adjacent differences count the uncovered and multiply covered cells,
+and the first place the sorted marks leave 0, 1, ... names the lowest bad cell.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import _fileformat
 from .geometry import (
     Point,
+    _offsets,
     _row_keys,
     _WordArray,
     index_to_point,
@@ -257,16 +259,6 @@ def _first_mismatch(arr: np.ndarray, stop: int) -> int:
     return stop
 
 
-def _trailing_offsets(s: int) -> np.ndarray:
-    """The offsets' last s entries, as the (2^s (s+1), s) array of the rows in
-    {-1,0,1,2}^s with at most one entry in {-1, 2}: the 2^s core rows (every
-    entry 0 or 1) first."""
-    core = np.arange(1 << s)[:, None] >> np.arange(s) & 1
-    arms = [np.where(np.arange(s) == r, e, core[core[:, r] == 0])
-            for r in range(s) for e in (-1, 2)]
-    return np.concatenate([core, *arms])
-
-
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """lo[0], .., hi[0] - 1, then lo[1], .., hi[1] - 1, and so on."""
     size = hi - lo
@@ -309,7 +301,7 @@ def _split(words: np.ndarray, p: int):
             continue
         # one entry per (offset, group), core offsets first: each shard's
         # entries stay in that order, so those taken with arms lead
-        offsets = _trailing_offsets(s)
+        offsets = _offsets(s)  # the offsets' last s entries range over Upsilon_s
         group = np.tile(np.arange(len(starts)), len(offsets))
         arms = np.repeat(np.arange(len(offsets)) < 1 << s, len(starts))
         cells = (rev[starts, :s].astype(np.int64) - offsets[:, None]) % p
@@ -432,9 +424,11 @@ def verify(
 
 
 def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
+    # a distance is at most n floor(p/2); past int64 it is summed in Python ints
     p = tiling.p
+    exact = np.int64 if tiling.n * (p // 2) <= np.iinfo(np.int64).max else object
     return pairwise_minimum(
-        tiling.words.astype(np.int64),
+        tiling.words.astype(exact),
         lambda a, b: np.maximum(np.minimum((a - b) % p, (b - a) % p) - 1, 0).sum(axis=-1),
     )
 

@@ -347,6 +347,13 @@ def test_search_command_negative_and_budget(capsys):
     assert "status: budget" in stdout
 
 
+def test_search_command_refuses_max_solutions_below_one(capsys):
+    code, stdout, err = run(capsys, "search", "--n", "2", "--p", "24",
+                            "--max-solutions", "0", "--no-symmetry-breaking")
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == "error: max solutions must be >= 1, got 0\n"
+
+
 def test_export_svg(tmp_path, capsys):
     path = tmp_path / "l2.tiling"
     write_tiling(PeriodicTiling(n=2, p=12, codewords=LAMBDA2_WORDS), path)

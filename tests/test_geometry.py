@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from halfcross import geometry
@@ -204,3 +205,27 @@ def test_word_arrays_refuse_an_impossible_length_by_value():
                   lambda: BlockCode(q=2, length=10**20, codewords=())):
         with pytest.raises(ValueError, match="word length 100000000000000000000 exceeds"):
             build()
+
+
+def test_word_arrays_refuse_non_integer_entries():
+    # tuples and float arrays alike: no entry is truncated, and the first
+    # offending codeword in the given order is named
+    with pytest.raises(ValueError, match=r"^codeword \(0\.5, 1\.9\) has a non-integer entry$"):
+        PeriodicTiling(n=2, p=12, codewords=[(0.5, 1.9)])
+    with pytest.raises(ValueError, match=r"^codeword \(0\.7, 0\.0, 1\.0\) has a non-integer"):
+        BlockCode(q=2, length=3, codewords=np.array([[0.7, 0, 1]]))
+    for build in (lambda rows: PeriodicTiling(n=3, p=4, codewords=rows),
+                  lambda rows: BlockCode(q=2, length=3, codewords=rows)):
+        for rows in ([(0, 0, 1), (1, 0.5, 0)], np.array([[0, 0, 1], [1, 0.5, 0]])):
+            with pytest.raises(ValueError, match=r"^codeword \(1(\.0)?, 0\.5, 0(\.0)?\) has"):
+                build(rows)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="has a non-integer entry"):
+                build([(0, 0, 1), (0, bad, 1)])
+        with pytest.raises(ValueError, match=r"^codeword \(7, 0, 0\) outside"):
+            build([(0, 0, 1), (7, 0, 0), (0.5, 0, 0)])
+        with pytest.raises(ValueError, match=r"^duplicate codeword \(0, 0, 1\)$"):
+            build([(0, 0, 1), (0, 0, 1), (0.5, 0, 0)])
+        # integral floats are still whole numbers
+        assert build([(1.0, 0, 1)]) == build([(1, 0, 1)])
+        assert build(np.array([[1.0, 0, 1]])) == build([(1, 0, 1)])

@@ -110,6 +110,13 @@ def test_search_scale_guard():
         SearchConfig(n=10**8, p=12)
 
 
+def test_search_refuses_max_solutions_below_one():
+    # zero solutions asked for would read as a complete negative result
+    for wanted in (0, -1):
+        with pytest.raises(ValueError, match=f"max solutions must be >= 1, got {wanted}"):
+            SearchConfig(n=2, p=24, max_solutions=wanted, symmetry_breaking=False)
+
+
 def test_search_deterministic():
     a, _ = search_tilings(SearchConfig(n=2, p=12, max_solutions=3))
     b, _ = search_tilings(SearchConfig(n=2, p=12, max_solutions=3))

@@ -43,3 +43,29 @@ def test_codeword_view_is_never_turned_back_into_an_array():
                for arg in args for sub in ast.walk(arg)):
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+#: the only library functions that read the tuple view ``codewords``
+_TUPLE_VIEW_READERS = {
+    # its result is a set of tuples, which callers edit (the benchmark's
+    # reject-n8 set-up damages a tiling through it)
+    ("tiling.py", "codeword_set"),
+    # looks the radius-1 sphere words, tuples, up in a set of the codewords; a
+    # faster lookup waits for the benchmark to stop keeping every output
+    ("codes.py", "decode_within_1"),
+}
+
+
+def test_tuple_view_is_read_only_where_tuples_are_the_result():
+    # everything else reads ``words``: the tuple view is a second copy of the
+    # array, built and kept on first access
+    def reads(name, nodes):
+        return {(name, node.lineno) for node in nodes if isinstance(node, ast.Attribute)
+                and node.attr == "codewords" and isinstance(node.ctx, ast.Load)}
+
+    found, allowed = set(), set()
+    for name, node in _library_nodes():
+        found |= reads(name, [node])
+        if isinstance(node, ast.FunctionDef) and (name, node.name) in _TUPLE_VIEW_READERS:
+            allowed |= reads(name, ast.walk(node))
+    assert sorted(found - allowed) == []

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from halfcross.geometry import torus_covers, upsilon_offsets
+from halfcross.geometry import _offsets, torus_covers, torus_cross_distance, upsilon_offsets
 import halfcross.tiling as tiling_module
 from halfcross.tiling import (
     CellBudgetExceeded,
@@ -132,7 +132,10 @@ def test_verify_scans_in_short_slices(monkeypatch, scan_slice):
 
 def test_outer_sum_marks_enumerate_upsilon():
     # one codeword at the origin of Z_4^n, where a mark's base-4 digits are
-    # -D_i mod 4, so every mark decodes to one offset D
+    # -D_i mod 4, so every mark decodes to one offset D.  The marks come in
+    # the row order of _offsets(n - 1) (with arms) or of its 2^(n-1) core rows
+    # (without): _split's weights and _count_shards' arms-first gather rely on it
+    assert _offsets(0).shape == (1, 0)  # s = 0: one empty trailing offset
     for n in range(1, 6):
         p, m = 4, n - 1
         t = _mark_tables(np.zeros((1, m), dtype=np.int64), p, np.int64)
@@ -140,9 +143,11 @@ def test_outer_sum_marks_enumerate_upsilon():
         for d in (-1, 0, 1, 2):
             out = np.empty(n << m, dtype=np.int64)
             marks = out[: _write_marks(t, out, arms=d in (0, 1))]
-            for mark in marks.tolist():
-                digits = [(mark // p**i) % p for i in range(m)]
-                offsets.append(tuple((1 - a) % p - 1 for a in digits) + (d,))
+            rows = [tuple((1 - (mark // p**i) % p) % p - 1 for i in range(m))
+                    for mark in marks.tolist()]
+            want = _offsets(m) if d in (0, 1) else _offsets(m)[: 1 << m]
+            assert rows == list(map(tuple, want.tolist())), (n, d)
+            offsets += [row + (d,) for row in rows]
         assert sorted(offsets) == list(upsilon_offsets(n).offsets)
 
 
@@ -206,6 +211,14 @@ def test_min_cross_distance_needs_two_codewords():
     for words in ((), ((0, 0),)):
         with pytest.raises(ValueError):
             _min_torus_cross_distance(PeriodicTiling(n=2, p=12, codewords=words))
+
+
+def test_verify_min_distance_exact_past_int64():
+    # each coordinate adds floor(p/2) - 1, and three such terms pass 2^63
+    p = 2**63 - 25
+    x, y = (0, 0, 0), (p // 2,) * 3
+    report = verify(PeriodicTiling(n=3, p=p, codewords=[x, y]), cell_budget=p**3)
+    assert report.min_cross_distance == torus_cross_distance(x, y, p) == 13835058055282163670
 
 
 def test_verify_min_distance_skipped_over_pair_budget():
