@@ -125,7 +125,8 @@ def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
     if codewords.ndim != 2 or codewords.shape[1] != n:
         i = next(i for i, w in enumerate(codewords) if len(w) != n)
         _sorted_words(tuple(codewords[:i]), n, p)
-        raise ValueError(f"codeword {tuple(map(int, codewords[i]))} has length != {n}")
+        w = tuple(v.item() if isinstance(v, np.generic) else v for v in codewords[i])
+        raise ValueError(f"codeword {w} has length != {n}")
     exact = codewords.dtype.kind in "biu"
     with np.errstate(invalid="ignore"):  # nan, and inf % 1 = nan, are fractions
         fraction = np.zeros(len(codewords), bool) if exact else (codewords % 1 != 0).any(axis=1)
@@ -219,6 +220,10 @@ class UpsilonShape:
 
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
+
     def __len__(self) -> int:
         return 2**self.n * (self.n + 1)
 
@@ -241,8 +246,6 @@ class UpsilonShape:
 @lru_cache(maxsize=None)
 def upsilon_offsets(n: int) -> UpsilonShape:
     """The n-dimensional half-cross, whose 2^n(n+1) offsets are built on first use."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     return UpsilonShape(n=n)
 
 

@@ -9,8 +9,9 @@ avoided because these quantities feed certificates.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
 
@@ -29,17 +30,24 @@ class LatticeFormatError(_fileformat.FormatError):
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """A rank-n integer lattice; rows of ``generator`` are the basis vectors."""
+    """A rank-n integer lattice: the rows of ``generator``, held as Python ints, are
+    the basis vectors, and ``hnf`` is their Hermite normal form."""
 
     n: int
     generator: tuple[Point, ...]
+    hnf: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if len(self.generator) != self.n or any(len(r) != self.n for r in self.generator):
             raise ValueError(f"generator must be {self.n}x{self.n}")
-        if _hnf(self.generator) is None:
+        if bad := [v for r in self.generator for v in r if not hasattr(v, "__index__")]:
+            raise ValueError(f"generator entry {bad[0]} is not an integer")
+        rows = tuple(tuple(map(operator.index, r)) for r in self.generator)
+        object.__setattr__(self, "generator", rows)
+        object.__setattr__(self, "hnf", _hnf(rows))
+        if self.hnf is None:
             raise ValueError("generator rows are linearly dependent")
 
 
@@ -91,7 +99,7 @@ def _exact_dtype(p: int):
 
 def volume(lattice: IntegerLattice) -> int:
     """|det G|, the number of cosets of the lattice in Z^n."""
-    return prod(row[k] for k, row in enumerate(_hnf(lattice.generator)))
+    return prod(row[k] for k, row in enumerate(lattice.hnf))
 
 
 def _block_diagonal(block: Sequence[Point], nu: int) -> IntegerLattice:
@@ -118,7 +126,7 @@ def contains(lattice: IntegerLattice, x: Point) -> bool:
     """True iff x is an integer combination of the generator rows."""
     if len(x) != lattice.n:
         raise ValueError(f"point length {len(x)} != lattice dimension {lattice.n}")
-    return not _reduce(_hnf(lattice.generator), np.array([x], dtype=object)).any()
+    return not _reduce(lattice.hnf, np.array([x], dtype=object)).any()
 
 
 def window(lattice: IntegerLattice, p: int) -> set[Point]:
@@ -134,8 +142,7 @@ def window_array(lattice: IntegerLattice, p: int) -> np.ndarray:
     sum of j_k * h_k mod p with 0 <= j_k < p / h_kk, each point once: p^n /
     volume points, built as one product over the HNF rows.
     """
-    n = lattice.n
-    hnf = _hnf(lattice.generator)
+    n, hnf = lattice.n, lattice.hnf
     missing = _reduce(hnf, p * np.eye(n, dtype=object)).any(axis=1)
     if missing.any():
         i = int(np.argmax(missing))
@@ -189,8 +196,8 @@ def write_lattice(lattice: IntegerLattice, path: str | Path) -> None:
 
 
 def read_lattice(path: str | Path) -> IntegerLattice:
-    """Parse a LATTICE v1 file; the rows become Python ints, which _hnf needs exact."""
+    """Parse a LATTICE v1 file; IntegerLattice holds the rows as Python ints."""
     return _fileformat.read(
         path, "LATTICE v1", ("n",), LatticeFormatError,
-        lambda n, rows: IntegerLattice(n=n, generator=tuple(tuple(map(int, r)) for r in rows)),
+        lambda n, rows: IntegerLattice(n=n, generator=tuple(map(tuple, rows))),
     )

@@ -32,6 +32,8 @@ class SearchConfig:
             raise ValueError(f"period must be >= 4, got {self.p}")
         if self.max_solutions < 1:
             raise ValueError(f"max solutions must be >= 1, got {self.max_solutions}")
+        if self.node_budget < 1:
+            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
         if window_exceeds(self.p, self.n, MAX_SEARCH_CELLS):
             raise ValueError(
                 f"window {self.p}^{self.n} exceeds search scale "

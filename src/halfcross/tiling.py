@@ -10,8 +10,8 @@ decided from the codeword counts before anything is written, so memory stays
 flat however large the window.  A shard's marks are broadcast outer sums of
 per-codeword tables (one entry per coordinate and offset entry), written in
 the row order of ``geometry._offsets`` (which also gives the trailing offsets
-that pick each shard's codewords) into one buffer, sorted once and scanned in
-slices: adjacent differences count the uncovered and multiply covered cells,
+that pick each shard's codewords) into one buffer, sorted once and scanned
+once: adjacent comparisons count the uncovered and multiply covered cells,
 and the first place the sorted marks leave 0, 1, ... names the lowest bad cell.
 """
 
@@ -45,8 +45,6 @@ DEFAULT_PAIR_BUDGET = 10**8
 #: the entries an offset D can take per coordinate; mark tables index them
 #: in this order, so j = 1, 2 are the core entries 0, 1 and j = 0, 3 the arms
 _ENTRIES = (-1, 0, 1, 2)
-#: sorted marks are scanned (counts and witness) in slices this long
-_SCAN_SLICE = 2_000_000
 #: the window is split until no shard holds more marks than this (4 MiB of int32)
 _SHARD_MARKS = 1 << 20
 
@@ -233,30 +231,20 @@ def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
     return pos
 
 
-def _count_runs(arr: np.ndarray) -> tuple[int, int]:
-    """(distinct values, runs of two or more equal values) of a sorted array, from
-    adjacent differences taken one slice at a time; a run starts wherever a step is
-    followed by no step, and the step before each slice is carried across."""
-    distinct, runs, prev = min(arr.size, 1), 0, True
-    for lo in range(0, arr.size - 1, _SCAN_SLICE):
-        seg = arr[lo : lo + _SCAN_SLICE + 1]
-        step = seg[1:] != seg[:-1]
-        steps = int(np.count_nonzero(step))
-        distinct += steps
-        if steps < step.size:
-            runs += int(prev and not step[0]) + int(np.count_nonzero(step[:-1] > step[1:]))
-        prev = bool(step[-1])
-    return distinct, runs
-
-
-def _first_mismatch(arr: np.ndarray, stop: int) -> int:
-    """Lowest i < stop with arr[i] != i, or stop if there is none."""
-    for lo in range(0, stop, _SCAN_SLICE):
-        seg = arr[lo : min(lo + _SCAN_SLICE, stop)]
-        bad = seg != np.arange(lo, lo + seg.size, dtype=arr.dtype)
-        if bad.any():
-            return lo + int(np.argmax(bad))
-    return stop
+def _scan(arr: np.ndarray, size: int) -> tuple[int, int, int | None]:
+    """(uncovered, multiply covered, lowest bad index or None) of the cells 0..size-1
+    from their sorted marks arr.  A run of repeated marks starts where a repeat
+    follows a step.  With -1 put before the first mark and size after the last,
+    the first step j that is not 1 follows the cells 0..j-1, each marked once:
+    a repeat covers j - 1 twice, a gap leaves j uncovered."""
+    repeat = arr[1:] == arr[:-1]
+    repeats = int(np.count_nonzero(repeat))
+    if arr.size == size and not repeats:
+        return 0, 0, None
+    runs = int(repeat[:1].sum()) + int(np.count_nonzero(repeat[1:] > repeat[:-1]))
+    step = np.diff(arr, prepend=-1, append=size)
+    j = int(np.argmax(step != 1))
+    return size - arr.size + repeats, runs, j - int(step[j] == 0)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -355,16 +343,10 @@ def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
         pos += _write_marks(t[..., with_arms:], buf[pos:], False)
         arr = buf[:pos]
         arr.sort()
-        distinct, runs = _count_runs(arr)
-        if distinct == shard_size and runs == 0:
-            continue
-        uncovered += shard_size - distinct
+        missing, runs, bad = _scan(arr, shard_size)
+        uncovered += missing
         multiply += runs
-        if witness_idx is None:
-            # marks below i equal 0..i-1; arr[i] > i leaves cell i uncovered,
-            # arr[i] < i (so arr[i] == i - 1) covers cell i - 1 twice
-            i = _first_mismatch(arr, min(pos, shard_size + 1))
-            bad = i - 1 if i < pos and arr[i] < i else i
+        if witness_idx is None and bad is not None:
             witness_idx = bad + c * shard_size
     return uncovered, multiply, witness_idx
 
@@ -384,15 +366,14 @@ def verify(
     being written.  A shard's marks are outer sums of small per-codeword
     tables, one entry per coordinate, since the offsets are exactly the D in
     {-1,0,1,2}^n with at most one entry in {-1, 2}; they are written into one
-    buffer and sorted once.  Adjacent differences of the sorted marks, taken
-    in slices, count the distinct cells and the cells marked more than once,
-    so exact-once covering (and hence both the packing and covering
-    properties) takes one sort and one scan per shard.  The first bad shard's
-    sorted marks are also compared against the range 0, 1, ..., whose first
-    mismatch names the lowest bad cell.  Cell indices are int32 while a shard
-    has fewer than 2^31 cells and int64 beyond.  The minimum torus cross
-    distance over codeword pairs is reported when the pair count is within
-    budget.
+    buffer and sorted once.  One pass of adjacent comparisons over the sorted
+    marks (``_scan``) counts the distinct cells and the cells marked more
+    than once, so exact-once covering (and hence both the packing and
+    covering properties) takes one sort and one scan per shard; the first
+    place the marks leave the range 0, 1, ... names the lowest bad cell.
+    Cell indices are int32 while a shard has fewer than 2^31 cells and int64
+    beyond.  The minimum torus cross distance over codeword pairs is reported
+    when the pair count is within budget.
     """
     n, p = tiling.n, tiling.p
     if window_exceeds(p, n, cell_budget):

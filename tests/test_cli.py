@@ -354,6 +354,13 @@ def test_search_command_refuses_max_solutions_below_one(capsys):
     assert err == "error: max solutions must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_search_command_refuses_node_budget_below_one(capsys, budget):
+    code, stdout, err = run(capsys, "search", "--n", "2", "--p", "12", "--node-budget", budget)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"error: node budget must be >= 1, got {budget}\n"
+
+
 def test_export_svg(tmp_path, capsys):
     path = tmp_path / "l2.tiling"
     write_tiling(PeriodicTiling(n=2, p=12, codewords=LAMBDA2_WORDS), path)

@@ -50,8 +50,6 @@ from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
     VerificationReport,
-    _count_runs,
-    _first_mismatch,
     _mark_tables,
     _min_torus_cross_distance,
     _write_marks,
@@ -131,6 +129,36 @@ def reflect_oracle(words, p, signs):
     ))
 
 
+#: sorted marks are scanned (counts and witness) in slices this long
+_SCAN_SLICE = 2_000_000
+
+
+def _count_runs(arr: np.ndarray) -> tuple[int, int]:
+    """(distinct values, runs of two or more equal values) of a sorted array, from
+    adjacent differences taken one slice at a time; a run starts wherever a step is
+    followed by no step, and the step before each slice is carried across."""
+    distinct, runs, prev = min(arr.size, 1), 0, True
+    for lo in range(0, arr.size - 1, _SCAN_SLICE):
+        seg = arr[lo : lo + _SCAN_SLICE + 1]
+        step = seg[1:] != seg[:-1]
+        steps = int(np.count_nonzero(step))
+        distinct += steps
+        if steps < step.size:
+            runs += int(prev and not step[0]) + int(np.count_nonzero(step[:-1] > step[1:]))
+        prev = bool(step[-1])
+    return distinct, runs
+
+
+def _first_mismatch(arr: np.ndarray, stop: int) -> int:
+    """Lowest i < stop with arr[i] != i, or stop if there is none."""
+    for lo in range(0, stop, _SCAN_SLICE):
+        seg = arr[lo : min(lo + _SCAN_SLICE, stop)]
+        bad = seg != np.arange(lo, lo + seg.size, dtype=arr.dtype)
+        if bad.any():
+            return lo + int(np.argmax(bad))
+    return stop
+
+
 def verify_last_coordinate(
     tiling: PeriodicTiling,
     *,
@@ -138,7 +166,8 @@ def verify_last_coordinate(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> VerificationReport:
     """The window verifier as it sharded by the last coordinate only: one shard
-    per value of it, every shard written in full (kept verbatim)."""
+    per value of it, every shard written in full (kept verbatim, as are the two
+    scan helpers above, which the library has replaced by ``_scan``)."""
     n, p = tiling.n, tiling.p
     if window_exceeds(p, n, cell_budget):
         raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")

@@ -10,6 +10,7 @@ from halfcross import geometry
 from halfcross.codes import BlockCode, min_hamming_distance
 from halfcross.geometry import (
     DimensionMismatch,
+    UpsilonShape,
     covers,
     cross_distance,
     cross_weight,
@@ -229,3 +230,23 @@ def test_word_arrays_refuse_non_integer_entries():
         # integral floats are still whole numbers
         assert build([(1.0, 0, 1)]) == build([(1, 0, 1)])
         assert build(np.array([[1.0, 0, 1]])) == build([(1, 0, 1)])
+
+
+def test_word_arrays_name_a_wrong_length_codeword_as_given():
+    # the row is named with its entries as given, not truncated to integers
+    for build in (lambda rows: PeriodicTiling(n=2, p=12, codewords=rows),
+                  lambda rows: BlockCode(q=3, length=2, codewords=rows)):
+        with pytest.raises(ValueError, match=r"^codeword \(0\.5,\) has length != 2$"):
+            build([(0.5,), (1, 1)])
+        with pytest.raises(ValueError, match=r"^codeword \(1, 2, 0\.5\) has length != 2$"):
+            build([(1, 1), (1, 2, 0.5)])
+        for rows in (np.array([[1, 2, 0]]), [(1, 1), tuple(np.array([1, 2, 0]))]):
+            with pytest.raises(ValueError, match=r"^codeword \(1, 2, 0\) has length != 2$"):
+                build(rows)
+
+
+def test_upsilon_shape_refuses_a_dimension_below_one():
+    for n in (0, -1):
+        for build in (UpsilonShape, upsilon_offsets):
+            with pytest.raises(ValueError, match=f"^dimension must be >= 1, got {n}$"):
+                build(n=n)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from halfcross import lattice
@@ -212,6 +213,24 @@ def test_lattice_file_rows_read_back_as_python_ints(tmp_path):
         assert back == IntegerLattice(n=2, generator=((big, 1), (1, big)))
         assert {type(v) for row in back.generator for v in row} == {int}
         assert volume(back) == det
+
+
+def test_lattice_holds_numpy_generators_as_python_ints():
+    # int64 entries would wrap in the HNF's products; the determinant is 2^80 - 1
+    g = np.array([[2**40, 1], [1, 2**40]])
+    lat = IntegerLattice(n=2, generator=tuple(map(tuple, g)))
+    assert {type(v) for row in lat.generator for v in row} == {int}
+    assert lat == IntegerLattice(n=2, generator=((2**40, 1), (1, 2**40)))
+    assert volume(lat) == 2**80 - 1
+    assert contains(lat, (2**40, 1)) and not contains(lat, (1, 0))
+
+
+def test_lattice_refuses_non_integer_entries():
+    # a fraction was once accepted (volume 0.5); integral floats are refused too
+    for gen, name in ((((0.5,),), r"0\.5"), (((2, 1), (1, np.float64(3.0))), r"3\.0"),
+                      (((2, "x"), (1, 2)), "x")):
+        with pytest.raises(ValueError, match=f"^generator entry {name} is not an integer$"):
+            IntegerLattice(n=len(gen), generator=gen)
 
 
 def test_lattice_file_rejects_garbage(tmp_path):

@@ -117,6 +117,13 @@ def test_search_refuses_max_solutions_below_one():
             SearchConfig(n=2, p=24, max_solutions=wanted, symmetry_breaking=False)
 
 
+def test_search_refuses_node_budget_below_one():
+    # a search allowed no node would stop at once and read as out of budget
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
+            SearchConfig(n=2, p=12, node_budget=budget)
+
+
 def test_search_deterministic():
     a, _ = search_tilings(SearchConfig(n=2, p=12, max_solutions=3))
     b, _ = search_tilings(SearchConfig(n=2, p=12, max_solutions=3))

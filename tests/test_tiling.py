@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from halfcross.geometry import _offsets, torus_covers, torus_cross_distance, upsilon_offsets
-import halfcross.tiling as tiling_module
 from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
     TilingFormatError,
-    _count_runs,
     _mark_tables,
     _min_torus_cross_distance,
+    _scan,
     _write_marks,
     admissible_dimension,
     is_periodic_with,
@@ -112,15 +111,39 @@ def test_verify_oracle_random_small():
                 assert_matches_oracle(PeriodicTiling(n=n, p=p, codewords=words))
 
 
-@pytest.mark.parametrize("scan_slice", [1, 2, 3, 7])
-def test_verify_scans_in_short_slices(monkeypatch, scan_slice):
-    # runs and mismatches that straddle slice boundaries must count once
-    monkeypatch.setattr(tiling_module, "_SCAN_SLICE", scan_slice)
-    rng = np.random.default_rng(scan_slice)
-    for _ in range(50):
-        arr = np.sort(rng.integers(0, 12, size=rng.integers(0, 30))).astype(np.int32)
-        values, counts = np.unique(arr, return_counts=True)
-        assert _count_runs(arr) == (len(values), int((counts > 1).sum()))
+def scan_oracle(arr, size):
+    """(uncovered, multiply covered, lowest cell not marked once or None) from
+    np.unique's counts of the marks arr in 0..size-1."""
+    values, counts = np.unique(arr, return_counts=True)
+    per_cell = np.zeros(size, dtype=np.int64)
+    per_cell[values] = counts
+    bad = np.flatnonzero(per_cell != 1)
+    return size - len(values), int((counts > 1).sum()), int(bad[0]) if bad.size else None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_scan_matches_unique_counts(seed):
+    # exact covers, a repeat at the first and at the last mark, a gap at the
+    # start and at the end, one-mark shards, then seeded random sorted marks
+    # and near-covers (one mark dropped, one repeated)
+    rng = np.random.default_rng(seed)
+    cases = []
+    for size in (1, 2, 5, 12):
+        cover = np.arange(size)
+        cases += [(a, size) for a in (cover, np.r_[0, cover], np.r_[cover, size - 1],
+                                      cover[1:], cover[:-1], [0], [size - 1])]
+    for _ in range(200):
+        size = int(rng.integers(1, 30))
+        cases.append((np.sort(rng.integers(0, size, size=rng.integers(1, 2 * size + 2))), size))
+        near = np.arange(size)
+        if rng.random() < 0.5:
+            near = np.delete(near, rng.integers(size))
+        if rng.random() < 0.5:
+            near = np.sort(np.r_[near, rng.integers(size)])
+        cases.append((near, size))
+    for arr, size in cases:
+        arr = np.asarray(arr, dtype=np.int32)
+        assert _scan(arr, size) == scan_oracle(arr, size), (arr.tolist(), size)
     base = set(LAMBDA2_WORDS)
     for words in (base, base - {(3, 6)}, (base - {(3, 6)}) | {(4, 6)}, base | {(5, 5)}):
         assert_matches_oracle(PeriodicTiling(n=2, p=12, codewords=tuple(sorted(words))))
