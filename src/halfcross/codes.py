@@ -10,6 +10,7 @@ as base-q keys; decoding walks one sphere.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterator
 from itertools import product
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, _WordArray, pairwise_minimum
+from .geometry import Point, _at_least, _WordArray, pairwise_minimum
 from .tiling import window_exceeds
 
 #: largest codeword list we materialize (3^11, the ternary t=3 code size)
@@ -42,10 +43,9 @@ class BlockCode(_WordArray):
     _header = ("q", "length")
 
     def __init__(self, q: int, length: int, codewords):
-        if q not in (2, 3):
+        if (q := _at_least(q, -math.inf, "alphabet size")) not in (2, 3):
             raise ValueError(f"alphabet size must be 2 or 3, got {q}")
-        if length < 1:
-            raise ValueError(f"length must be >= 1, got {length}")
+        length = _at_least(length, 1, "length")
         self.q, self.length = q, length
         super().__init__(codewords, length, q)
 
@@ -75,8 +75,7 @@ def binary_hamming(t: int) -> BlockCode:
     Parity-check columns are the nonzero binary t-vectors in ascending
     numeric order.  t=1 gives the degenerate length-1 code {0}.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _at_least(t, 1, "t")
     if window_exceeds(2, t, MAX_LENGTH + 1):  # 2^t - 1 > MAX_LENGTH, 2^t not built
         raise ValueError(f"length 2^{t} - 1 exceeds guard {MAX_LENGTH}")
     if t == 1:
@@ -90,8 +89,7 @@ def ternary_hamming(t: int) -> BlockCode:
     Parity-check columns are the nonzero ternary t-vectors whose first
     nonzero entry is 1, in ascending numeric order.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _at_least(t, 1, "t")
     if window_exceeds(3, t, 2 * MAX_TERNARY_LENGTH + 1):  # (3^t - 1)/2 > the guard
         raise ValueError(f"length (3^{t} - 1)/2 exceeds guard {MAX_TERNARY_LENGTH}")
     return _hamming(3, t)

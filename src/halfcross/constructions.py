@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lattice as lat
 from .codes import BlockCode, decode_within_1, is_perfect
-from .geometry import Point, _offsets, covers
+from .geometry import Point, _integer_entries, _offsets, covers
 from .tiling import PeriodicTiling
 
 # pair representative of each ternary symbol
@@ -118,6 +118,7 @@ def _locate(a: Point, code: BlockCode, route: _Route) -> Point:
     m = route.phi.shape[1]
     if len(a) != m * code.length:
         raise ValueError(f"point length {len(a)} != {m * code.length}, {m} per code symbol")
+    _integer_entries(a)
     residues = lat._reduce(route.hnf, np.array(a, dtype=object).reshape(-1, m))
     b = list(map(tuple, residues.tolist()))
     w = decode_within_1(code, tuple(route.psi[bi] for bi in b))
@@ -138,13 +139,12 @@ def from_binary_perfect(code: BlockCode) -> PeriodicTiling:
 def to_binary_perfect(tiling: PeriodicTiling) -> BlockCode:
     """Recover a binary perfect code from a verified period-4 tiling.
 
-    All-even tilings are halved; otherwise each entry is collapsed by the
-    0/1 -> 0, 2/3 -> 1 map.  The image is certified perfect before return.
+    Each entry is collapsed by the 0/1 -> 0, 2/3 -> 1 map, which halves an
+    all-even tiling.  The image is certified perfect before return.
     """
     if tiling.p != 4:
         raise ValueError(f"expected period 4, got {tiling.p}")
-    w = tiling.words
-    words = w // 2 if not (w % 2).any() else (w >= 2).astype(w.dtype)
+    words = (tiling.words >= 2).astype(tiling.words.dtype)
     code = BlockCode(q=2, length=tiling.n, codewords=np.unique(words, axis=0))
     ok, reason = is_perfect(code)
     if not ok:

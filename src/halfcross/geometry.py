@@ -1,4 +1,4 @@
-"""Points, the three distances, sorted word arrays, and the half-cross offset set.
+"""Points, the three distances, argument checks, sorted word arrays, the half-cross offsets.
 
 The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
@@ -8,6 +8,7 @@ Only :func:`_offsets` enumerates it; :func:`upsilon_offsets` has a tuple view.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -24,9 +25,26 @@ class DimensionMismatch(ValueError):
     """Two points of different lengths were combined."""
 
 
+def _at_least(value, low, what: str) -> int:
+    """value as a Python int; ValueError unless it is an integer (has ``__index__``)
+    of at least low (-math.inf: any integer).  Every size argument is checked here."""
+    if not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def _integer_entries(entries, what: str = "point entry") -> None:
+    if bad := [v for v in entries if not hasattr(v, "__index__")]:
+        raise ValueError(f"{what} {bad[0]} is not an integer")
+
+
 def _pair(x: Point, y: Point) -> None:
     if len(x) != len(y):
         raise DimensionMismatch(f"length {len(x)} vs {len(y)}")
+    _integer_entries((*x, *y))
 
 
 def hamming_distance(x: Point, y: Point) -> int:
@@ -64,8 +82,7 @@ def torus_cross_distance(x: Point, y: Point, p: int) -> int:
     self-overlap.
     """
     _pair(x, y)
-    if p < 4:
-        raise ValueError(f"period must be >= 4, got {p}")
+    p = _at_least(p, 4, "period")
     total = 0
     for a, b in zip(x, y):
         d = abs(b - a) % p
@@ -221,8 +238,7 @@ class UpsilonShape:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _at_least(self.n, 1, "dimension"))
 
     def __len__(self) -> int:
         return 2**self.n * (self.n + 1)
@@ -238,12 +254,11 @@ class UpsilonShape:
 
     def torus_cells(self, x: Point, p: int) -> set[Point]:
         """All cells covered by x on the torus (Z_p)^n."""
-        if p < 4:
-            raise ValueError(f"period must be >= 4, got {p}")
+        p = _at_least(p, 4, "period")
         return {tuple((a - d) % p for a, d in zip(x, off)) for off in self.offsets}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 == 2 must not find UpsilonShape(n=2)
 def upsilon_offsets(n: int) -> UpsilonShape:
     """The n-dimensional half-cross, whose 2^n(n+1) offsets are built on first use."""
     return UpsilonShape(n=n)
@@ -273,8 +288,7 @@ def torus_covers(x, a: Point, p: int):
     (k, n) array of codewords, answered row by row."""
     if np.shape(x)[-1] != len(a):
         raise DimensionMismatch(f"length {np.shape(x)[-1]} vs {len(a)}")
-    if p < 4:
-        raise ValueError(f"period must be >= 4, got {p}")
+    p = _at_least(p, 4, "period")
     d = (np.asarray(x, dtype=np.int64) - a) % p
     arm = (d == 2) | (d == p - 1)  # an exceptional entry, -1 or 2
     hit = ((d <= 1) | arm).all(axis=-1) & (arm.sum(axis=-1) <= 1)

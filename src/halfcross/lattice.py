@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point
+from .geometry import Point, _at_least, _integer_entries
 
 #: is_lattice_tiling reduces the codewords this many rows at a time
 _BLOCK = 4096
@@ -38,12 +38,10 @@ class IntegerLattice:
     hnf: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _at_least(self.n, 1, "dimension"))
         if len(self.generator) != self.n or any(len(r) != self.n for r in self.generator):
             raise ValueError(f"generator must be {self.n}x{self.n}")
-        if bad := [v for r in self.generator for v in r if not hasattr(v, "__index__")]:
-            raise ValueError(f"generator entry {bad[0]} is not an integer")
+        _integer_entries([v for r in self.generator for v in r], "generator entry")
         rows = tuple(tuple(map(operator.index, r)) for r in self.generator)
         object.__setattr__(self, "generator", rows)
         object.__setattr__(self, "hnf", _hnf(rows))
@@ -104,8 +102,7 @@ def volume(lattice: IntegerLattice) -> int:
 
 def _block_diagonal(block: Sequence[Point], nu: int) -> IntegerLattice:
     """The lattice L^nu: nu diagonal copies of the m x m block generator of L."""
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    nu = _at_least(nu, 1, "nu")
     m = len(block)
     return IntegerLattice(n=m * nu, generator=tuple(
         (0,) * (m * i) + tuple(row) + (0,) * (m * (nu - 1 - i))

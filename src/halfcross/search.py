@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .geometry import Point, index_to_point, point_to_index, upsilon_offsets
+from .geometry import Point, _at_least, index_to_point, point_to_index, upsilon_offsets
 from .tiling import PeriodicTiling, window_exceeds
 
 #: search is refused above this window size; use the constructions instead
@@ -26,14 +26,10 @@ class SearchConfig:
     node_budget: int = 10**7
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.p < 4:
-            raise ValueError(f"period must be >= 4, got {self.p}")
-        if self.max_solutions < 1:
-            raise ValueError(f"max solutions must be >= 1, got {self.max_solutions}")
-        if self.node_budget < 1:
-            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
+        for name, low, what in (("n", 1, "dimension"), ("p", 4, "period"),
+                                ("max_solutions", 1, "max solutions"),
+                                ("node_budget", 1, "node budget")):
+            object.__setattr__(self, name, _at_least(getattr(self, name), low, what))
         if window_exceeds(self.p, self.n, MAX_SEARCH_CELLS):
             raise ValueError(
                 f"window {self.p}^{self.n} exceeds search scale "
@@ -121,13 +117,10 @@ def search_tilings(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats
             if stats.solutions >= cfg.max_solutions:
                 return
 
+    if cfg.symmetry_breaking:
+        place((0,) * n)
     try:
-        if cfg.symmetry_breaking:
-            origin = (0,) * n
-            place(origin)
-            recurse()
-        else:
-            recurse()
+        recurse()
     except _Budget:
         stats.status = "budget"
 

@@ -28,6 +28,7 @@ import numpy as np
 from . import _fileformat
 from .geometry import (
     Point,
+    _at_least,
     _offsets,
     _row_keys,
     _WordArray,
@@ -90,10 +91,7 @@ class PeriodicTiling(_WordArray):
     _header = ("n", "p")
 
     def __init__(self, n: int, p: int, codewords):
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        if p < 4:
-            raise ValueError(f"period must be >= 4, got {p}")
+        n, p = _at_least(n, 1, "dimension"), _at_least(p, 4, "period")
         if p >= 2**63:
             raise ValueError("period must be below 2^63")
         self.n, self.p = n, p
@@ -196,12 +194,14 @@ def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
 
     One entry per coordinate and offset entry: a mark is the sum of one
     entry per coordinate.  The codeword axis is innermost, so every sum below
-    runs over long contiguous rows.
+    runs over long contiguous rows.  Each row is written straight into dtype,
+    so no temporary is larger than one column of xs in int64.
     """
-    radix = p ** np.arange(xs.shape[1], dtype=np.int64)
-    d = np.array(_ENTRIES, dtype=np.int64)
-    t = (xs.T.astype(np.int64)[:, None, :] - d[None, :, None]) % p * radix[:, None, None]
-    return np.ascontiguousarray(t, dtype=dtype)
+    t = np.empty((xs.shape[1], len(_ENTRIES), len(xs)), dtype=dtype)
+    for i, col in enumerate(xs.T):
+        for j, e in enumerate(_ENTRIES):
+            t[i, j] = (col.astype(np.int64) - e) % p * p**i
+    return t
 
 
 def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
@@ -316,16 +316,11 @@ def _split(words: np.ndarray, p: int):
 def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, index of the lowest bad cell or None) of the
     window, one shard at a time in increasing trailing index (see ``verify``)."""
-    k, n = words.shape
     s, order, most, shards = _split(words, p)
-    m = n - s
+    m = words.shape[1] - s
     shard_size = p**m
     dtype = np.int32 if shard_size < 2**31 else np.int64
-    # every codeword's table, in that order, built 2^18 entries at a time
-    tables = np.empty((m, len(_ENTRIES), k), dtype=dtype)
-    step = max(1, (_SHARD_MARKS >> 2) // (len(_ENTRIES) * m))
-    for lo in range(0, k, step):
-        tables[..., lo : lo + step] = _mark_tables(words[order[lo : lo + step], :m], p, dtype)
+    tables = _mark_tables(words[order, :m], p, dtype)  # every codeword's, in that order
     buf = np.empty(most, dtype=dtype)
     uncovered = multiply = 0
     witness_idx = None
@@ -376,6 +371,8 @@ def verify(
     when the pair count is within budget.
     """
     n, p = tiling.n, tiling.p
+    cell_budget = _at_least(cell_budget, 1, "cell budget")
+    pair_budget = _at_least(pair_budget, 0, "pair budget")
     if window_exceeds(p, n, cell_budget):
         raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
     total = p**n
@@ -444,6 +441,7 @@ def is_periodic_with(tiling: PeriodicTiling, p2: int) -> bool:
     (p/p2)^n points: so one sort decides whether every residue mod p2 that
     occurs occurs (p/p2)^n times.
     """
+    p2 = _at_least(p2, -math.inf, "p2")
     if p2 <= 0 or tiling.p % p2 != 0:
         raise ValueError(f"{p2} does not divide the period {tiling.p}")
     k = len(tiling)
@@ -459,8 +457,7 @@ def is_periodic_with(tiling: PeriodicTiling, p2: int) -> bool:
 
 def admissible_dimension(n: int) -> Admissibility:
     """Whether n = 2^t - 1 or n = 3^t - 1 for some t > 0, with the witness."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     for base in (2, 3):
         t = 1
         while base**t - 1 <= n:
@@ -477,8 +474,7 @@ def nonexistence_certificate(n: int) -> NonexistenceCertificate:
     shape size 2^n(n+1) must divide the forced window size; when it does not,
     no integer tiling exists.  No number is built unless its digits print.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least(n, 1, "n")
     forced = 4 if n % 2 == 1 else 12
     # forced^n is 2^(2n) or 2^(2n) 3^n (then n + 1 is odd), so 2^n(n+1)
     # divides it exactly when n + 1 is a power of 2 or of 3: when n is admissible

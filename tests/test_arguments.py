@@ -1,0 +1,113 @@
+"""Every dimension, period, count and budget argument goes through one check,
+``geometry._at_least``: a value that is not an integer is refused by name with a
+ValueError (never a TypeError, KeyError or AttributeError from deeper down),
+and points must have integer entries."""
+
+import re
+
+import numpy as np
+import pytest
+
+from halfcross.codes import BlockCode, binary_hamming, ternary_hamming
+from halfcross.constructions import locate_tile_binary, locate_tile_ternary
+from halfcross.geometry import (
+    UpsilonShape,
+    covers,
+    torus_covers,
+    torus_cross_distance,
+    upsilon_offsets,
+)
+from halfcross.lattice import IntegerLattice, lambda_lattice, window_array
+from halfcross.search import SearchConfig
+from halfcross.tiling import (
+    PeriodicTiling,
+    admissible_dimension,
+    is_periodic_with,
+    nonexistence_certificate,
+    verify,
+    write_tiling,
+)
+
+
+def _unit():
+    # the one-codeword tiling of Z^1 with period 4
+    return PeriodicTiling(n=1, p=4, codewords=[(0,)])
+
+
+#: (site, the name its messages use, the least value allowed or None, call)
+SITES = [
+    ("torus_cross_distance", "period", 4, lambda v: torus_cross_distance((0,), (2,), v)),
+    ("torus_cells", "period", 4, lambda v: upsilon_offsets(1).torus_cells((0,), v)),
+    ("torus_covers", "period", 4, lambda v: torus_covers((0,), (0,), v)),
+    ("UpsilonShape", "dimension", 1, lambda v: UpsilonShape(n=v)),
+    # a cached n = 4 must not answer for n = 4.0
+    ("upsilon_offsets", "dimension", 1, lambda v: (upsilon_offsets(4), upsilon_offsets(v))),
+    ("PeriodicTiling.n", "dimension", 1, lambda v: PeriodicTiling(n=v, p=4, codewords=())),
+    ("PeriodicTiling.p", "period", 4, lambda v: PeriodicTiling(n=1, p=v, codewords=())),
+    ("admissible_dimension", "n", 1, admissible_dimension),
+    ("nonexistence_certificate", "n", 1, nonexistence_certificate),
+    ("verify.cell_budget", "cell budget", 1, lambda v: verify(_unit(), cell_budget=v)),
+    ("verify.pair_budget", "pair budget", 0, lambda v: verify(_unit(), pair_budget=v)),
+    ("is_periodic_with", "p2", None, lambda v: is_periodic_with(_unit(), v)),
+    ("BlockCode.q", "alphabet size", None, lambda v: BlockCode(q=v, length=1, codewords=())),
+    ("BlockCode.length", "length", 1, lambda v: BlockCode(q=2, length=v, codewords=())),
+    ("binary_hamming", "t", 1, binary_hamming),
+    ("ternary_hamming", "t", 1, ternary_hamming),
+    ("IntegerLattice", "dimension", 1, lambda v: IntegerLattice(n=v, generator=((2,),))),
+    ("lambda_lattice", "nu", 1, lambda_lattice),
+    ("SearchConfig.n", "dimension", 1, lambda v: SearchConfig(n=v, p=4)),
+    ("SearchConfig.p", "period", 4, lambda v: SearchConfig(n=1, p=v)),
+    ("SearchConfig.max_solutions", "max solutions", 1,
+     lambda v: SearchConfig(n=1, p=4, max_solutions=v)),
+    ("SearchConfig.node_budget", "node budget", 1,
+     lambda v: SearchConfig(n=1, p=4, node_budget=v)),
+]
+
+
+@pytest.mark.parametrize("site, what, low, call", SITES, ids=[s[0] for s in SITES])
+def test_every_size_argument_refuses_a_non_integer_by_name(site, what, low, call):
+    # pytest.raises lets any other exception type through, failing the test
+    whole = 2.0 if what == "alphabet size" else 4.0  # an allowed value, as a float
+    for bad in (2.5, np.float64(12.0), whole):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got "
+                                             f"{re.escape(repr(bad))}$"):
+            call(bad)
+    if low is not None:  # the range message is unchanged, for numpy ints too
+        for below in (low - 1, np.int64(low - 1)):
+            with pytest.raises(ValueError, match=f"^{what} must be >= {low}, got {low - 1}$"):
+                call(below)
+
+
+def test_integer_only_arguments_keep_their_own_range_messages():
+    with pytest.raises(ValueError, match="^alphabet size must be 2 or 3, got 1$"):
+        BlockCode(q=1, length=1, codewords=())
+    with pytest.raises(ValueError, match="^0 does not divide the period 4$"):
+        is_periodic_with(_unit(), 0)
+    assert is_periodic_with(_unit(), np.int64(4))
+
+
+def test_points_must_have_integer_entries():
+    with pytest.raises(ValueError, match=r"^point entry 0\.5 is not an integer$"):
+        covers((0.5,), (0,))
+    with pytest.raises(ValueError, match=r"^point entry 1\.0 is not an integer$"):
+        covers((0, 0), (0, 1.0))
+    for locate, code, n in ((locate_tile_binary, binary_hamming(3), 7),
+                            (locate_tile_ternary, ternary_hamming(2), 8)):
+        for v in (0.5, 1.0, np.float64(1.0)):
+            with pytest.raises(ValueError, match=f"^point entry {v} is not an integer$"):
+                locate(((0,) * (n - 1)) + (v,), code)
+        # the length is checked first, with its message unchanged
+        with pytest.raises(ValueError, match=f"^point length 1 != {n}"):
+            locate((0.5,), code)
+        assert locate(tuple(np.arange(n)), code) == locate(tuple(range(n)), code)
+
+
+def test_numpy_int_sizes_are_held_as_python_ints(tmp_path):
+    words = window_array(lambda_lattice(1), 12)
+    t = PeriodicTiling(n=np.int64(2), p=np.int64(12), codewords=words)
+    code = BlockCode(q=np.int64(3), length=np.uint8(4), codewords=ternary_hamming(2).words)
+    assert {type(v) for v in (t.n, t.p, code.q, code.length)} == {int}
+    write_tiling(t, tmp_path / "numpy.tiling")
+    write_tiling(PeriodicTiling(n=2, p=12, codewords=words), tmp_path / "int.tiling")
+    assert (tmp_path / "numpy.tiling").read_bytes() == (tmp_path / "int.tiling").read_bytes()
+    assert verify(t).cells_total == 144 and type(verify(t).cells_total) is int

@@ -69,3 +69,24 @@ def test_tuple_view_is_read_only_where_tuples_are_the_result():
         if isinstance(node, ast.FunctionDef) and (name, node.name) in _TUPLE_VIEW_READERS:
             allowed |= reads(name, ast.walk(node))
     assert sorted(found - allowed) == []
+
+
+def test_range_and_integer_checks_live_in_one_helper():
+    # every dimension, period, count and budget goes through geometry._at_least,
+    # so none of its messages is written by hand anywhere else
+    def checks(name, nodes):
+        return {(name, node.lineno) for node in nodes
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "ValueError"
+                and any(isinstance(text, ast.Constant) and isinstance(text.value, str)
+                        and ("must be >=" in text.value or "must be an integer" in text.value)
+                        for arg in node.exc.args if isinstance(arg, ast.JoinedStr)
+                        for text in arg.values)}
+
+    found, allowed = set(), set()
+    for name, node in _library_nodes():
+        found |= checks(name, [node])
+        if isinstance(node, ast.FunctionDef) and (name, node.name) == ("geometry.py", "_at_least"):
+            allowed |= checks(name, ast.walk(node))
+    assert len(allowed) == 2
+    assert sorted(found - allowed) == []
