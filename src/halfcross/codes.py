@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, _at_least, _WordArray, pairwise_minimum
+from .geometry import Point, _at_least, _integer_entries, _WordArray, pairwise_minimum
 from .tiling import window_exceeds
 
 #: largest codeword list we materialize (3^11, the ternary t=3 code size)
@@ -172,6 +172,7 @@ def decode_within_1(code: BlockCode, word: Point) -> Point | None:
     """
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} != code length {code.length}")
+    _integer_entries(word, "word entry")
     if any(s < 0 or s >= code.q for s in word):
         raise ValueError(f"word {word} has symbols outside Z_{code.q}")
     table = set(code.codewords)

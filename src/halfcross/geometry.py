@@ -212,6 +212,7 @@ def index_to_point(idx: int, n: int, p: int) -> Point:
 
 def point_to_index(x: Point, p: int) -> int:
     """Inverse of :func:`index_to_point` for a cell with entries in 0..p-1."""
+    _integer_entries(x)
     idx = 0
     for v in reversed(x):
         idx = idx * p + v
@@ -288,8 +289,10 @@ def torus_covers(x, a: Point, p: int):
     (k, n) array of codewords, answered row by row."""
     if np.shape(x)[-1] != len(a):
         raise DimensionMismatch(f"length {np.shape(x)[-1]} vs {len(a)}")
+    x = np.asarray(x)  # an integer array needs no look at each entry
+    _integer_entries(a if x.dtype.kind in "biu" else (*x.ravel().tolist(), *a))
     p = _at_least(p, 4, "period")
-    d = (np.asarray(x, dtype=np.int64) - a) % p
+    d = (x.astype(np.int64) - a) % p
     arm = (d == 2) | (d == p - 1)  # an exceptional entry, -1 or 2
     hit = ((d <= 1) | arm).all(axis=-1) & (arm.sum(axis=-1) <= 1)
     return hit if hit.ndim else bool(hit)

@@ -139,6 +139,7 @@ def window_array(lattice: IntegerLattice, p: int) -> np.ndarray:
     sum of j_k * h_k mod p with 0 <= j_k < p / h_kk, each point once: p^n /
     volume points, built as one product over the HNF rows.
     """
+    p = _at_least(p, 1, "period")
     n, hnf = lattice.n, lattice.hnf
     missing = _reduce(hnf, p * np.eye(n, dtype=object)).any(axis=1)
     if missing.any():

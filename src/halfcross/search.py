@@ -1,16 +1,18 @@
 """Backtracking existence search for half-cross tilings of small tori.
 
-Independent of the constructions: picks the lowest uncovered cell, branches
-over every codeword placement covering it, and prunes on overlap.  Used to
-confirm existence and nonexistence at desk scale.
+Independent of the constructions: picks the lowest uncovered cell a, tests every
+placement a + D (D in Upsilon_n) covering it for overlap at once, on one table of
+offset differences, and branches over the free ones (the exact-cover view of
+Knuth's "Dancing Links").  Used to confirm existence and nonexistence at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
-from .geometry import Point, _at_least, index_to_point, point_to_index, upsilon_offsets
+import numpy as np
+
+from .geometry import _at_least, _offsets, index_to_point
 from .tiling import PeriodicTiling, window_exceeds
 
 #: search is refused above this window size; use the constructions instead
@@ -68,57 +70,48 @@ def search_tilings(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats
         stats.status = "divisibility"
         return [], stats
 
+    offsets = _offsets(n)
     total = p**n
-    shape = upsilon_offsets(n)
-    tiles_needed = total // len(shape)
-
-    @cache
-    def cells_of(x: Point) -> list[int]:
-        return [point_to_index(tuple((xi - di) % p for xi, di in zip(x, off)), p)
-                for off in shape.offsets]
-
+    tiles_needed = total // len(offsets)
+    # the placement a + d_j covers the cells a + d_j - d_l, whose coordinate i is
+    # wrap[a_i : a_i + 7][diff[i, j, l]] with diff[i, j, l] = d_j,i - d_l,i + 3
+    diff = np.ascontiguousarray((offsets[:, None] - offsets + 3).transpose(2, 0, 1), np.uint8)
+    # wrap[v + 3] = v mod p; cell indices and their partial sums stay below p^n
+    wrap = (np.arange(-3, p + 3) % p).astype(np.min_scalar_type(total - 1))
+    strides = [p**i for i in range(n)]
     covered = bytearray(total)
-    placed: list[Point] = []
+    marks = np.frombuffer(covered, dtype=bool)  # a view: writes show in covered
+    placed: list[np.ndarray] = []
     solutions: list[PeriodicTiling] = []
-
-    def place(x: Point) -> bool:
-        cells = cells_of(x)
-        if any(covered[c] for c in cells):
-            return False
-        for c in cells:
-            covered[c] = 1
-        placed.append(x)
-        return True
-
-    def unplace(x: Point) -> None:
-        for c in cells_of(x):
-            covered[c] = 0
-        placed.pop()
 
     def recurse() -> None:
         stats.nodes += 1
         if stats.nodes > cfg.node_budget:
             raise _Budget
         if len(placed) == tiles_needed:
-            solutions.append(PeriodicTiling(n=n, p=p, codewords=placed))
+            solutions.append(PeriodicTiling(n=n, p=p, codewords=np.array(placed)))
             stats.solutions += 1
             return
-        lowest = covered.find(0)
-        a = index_to_point(lowest, n, p)
-        candidates = sorted(
-            {tuple((ai + di) % p for ai, di in zip(a, off)) for off in shape.offsets}
-        )
-        for x in candidates:
-            if not place(x):
-                continue
+        a = index_to_point(covered.find(0), n, p)
+        # row j: the cells covered by, and the point of, the placement a + d_j
+        cells = sum((wrap[ai : ai + 7] * step)[d] for ai, step, d in zip(a, strides, diff))
+        points = wrap[offsets + np.add(a, 3)]
+        # each child clears the cells it set, so one test serves every sibling
+        free = ~marks[cells].any(axis=1)
+        order = np.lexsort(points.T[::-1])  # the placements' tuples, sorted
+        for j in order[free[order]]:
+            marks[cells[j]] = True
+            placed.append(points[j])
             recurse()
-            unplace(x)
+            marks[cells[j]] = False
+            placed.pop()
             stats.backtracks += 1
             if stats.solutions >= cfg.max_solutions:
                 return
 
-    if cfg.symmetry_breaking:
-        place((0,) * n)
+    if cfg.symmetry_breaking:  # the origin, covering the cells -d_l mod p
+        marks[wrap[3 - offsets] @ strides] = True
+        placed.append(np.zeros(n, dtype=wrap.dtype))
     try:
         recurse()
     except _Budget:

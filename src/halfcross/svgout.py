@@ -6,7 +6,7 @@ input yields a byte-identical document.
 
 from __future__ import annotations
 
-from .geometry import upsilon_offsets
+from .geometry import _offsets
 from .tiling import PeriodicTiling
 
 CELL = 24  # pixels per unit cell
@@ -27,17 +27,17 @@ def svg_document(tiling: PeriodicTiling) -> str:
         raise ValueError(f"SVG export is only defined for n = 2, got n = {tiling.n}")
     p = tiling.p
     size = p * CELL
-    shape = upsilon_offsets(2)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    words = tiling.words.tolist()
-    for rank, x in enumerate(words):
+    words = tiling.words.astype("int64")
+    # tile k's cells: X - D for its codeword X and each D in Upsilon_2, mod p
+    for rank, cells in enumerate(((words[:, None] - _offsets(2)) % p).tolist()):
         color = PALETTE[rank % len(PALETTE)]
-        for cx, cy in sorted(shape.torus_cells(x, p)):
+        for cx, cy in sorted(cells):
             lines.append(
                 f'<rect x="{cx * CELL}" y="{(p - 1 - cy) * CELL}" '
                 f'width="{CELL}" height="{CELL}" fill="{color}"/>'
@@ -51,7 +51,7 @@ def svg_document(tiling: PeriodicTiling) -> str:
         lines.append(
             f'<line x1="0" y1="{t}" x2="{size}" y2="{t}" stroke="#444444" stroke-width="1"/>'
         )
-    for cx, cy in words:
+    for cx, cy in words.tolist():
         lines.append(
             f'<circle cx="{cx * CELL + CELL // 2}" cy="{(p - 1 - cy) * CELL + CELL // 2}" '
             f'r="{CELL // 5}" fill="#000000"/>'

@@ -8,16 +8,17 @@ import re
 import numpy as np
 import pytest
 
-from halfcross.codes import BlockCode, binary_hamming, ternary_hamming
+from halfcross.codes import BlockCode, binary_hamming, decode_within_1, ternary_hamming
 from halfcross.constructions import locate_tile_binary, locate_tile_ternary
 from halfcross.geometry import (
     UpsilonShape,
     covers,
+    point_to_index,
     torus_covers,
     torus_cross_distance,
     upsilon_offsets,
 )
-from halfcross.lattice import IntegerLattice, lambda_lattice, window_array
+from halfcross.lattice import IntegerLattice, lambda_lattice, window, window_array
 from halfcross.search import SearchConfig
 from halfcross.tiling import (
     PeriodicTiling,
@@ -55,12 +56,20 @@ SITES = [
     ("ternary_hamming", "t", 1, ternary_hamming),
     ("IntegerLattice", "dimension", 1, lambda v: IntegerLattice(n=v, generator=((2,),))),
     ("lambda_lattice", "nu", 1, lambda_lattice),
+    ("window_array", "period", 1, lambda v: window_array(lambda_lattice(1), v)),
+    ("window", "period", 1, lambda v: window(lambda_lattice(1), v)),
     ("SearchConfig.n", "dimension", 1, lambda v: SearchConfig(n=v, p=4)),
     ("SearchConfig.p", "period", 4, lambda v: SearchConfig(n=1, p=v)),
     ("SearchConfig.max_solutions", "max solutions", 1,
      lambda v: SearchConfig(n=1, p=4, max_solutions=v)),
     ("SearchConfig.node_budget", "node budget", 1,
      lambda v: SearchConfig(n=1, p=4, node_budget=v)),
+    # points: the message names the entry
+    ("torus_covers.x", "point entry", None, lambda v: torus_covers((v, 0), (0, 0), 4)),
+    ("torus_covers.a", "point entry", None, lambda v: torus_covers((0, 0), (0, v), 4)),
+    ("point_to_index", "point entry", None, lambda v: point_to_index((v, 1), 4)),
+    ("decode_within_1", "word entry", None,
+     lambda v: decode_within_1(binary_hamming(3), (v, 0, 0, 0, 0, 0, 0))),
 ]
 
 
@@ -69,8 +78,9 @@ def test_every_size_argument_refuses_a_non_integer_by_name(site, what, low, call
     # pytest.raises lets any other exception type through, failing the test
     whole = 2.0 if what == "alphabet size" else 4.0  # an allowed value, as a float
     for bad in (2.5, np.float64(12.0), whole):
-        with pytest.raises(ValueError, match=f"^{what} must be an integer, got "
-                                             f"{re.escape(repr(bad))}$"):
+        message = (f"{what} {bad} is not an integer" if what.endswith(" entry")
+                   else f"{what} must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad)
     if low is not None:  # the range message is unchanged, for numpy ints too
         for below in (low - 1, np.int64(low - 1)):

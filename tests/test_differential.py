@@ -9,7 +9,8 @@ The perfectness check is compared with the radius-1 sphere walk over tuples,
 the array-backed BlockCode and the codes derived from it with the tuple-backed
 code and its per-word validation loop, and the constructions and locators
 with the per-family code that used the paper's transcribed class and
-adjustment tables.  The profile is
+adjustment tables, and the search with the search that walked the offsets as
+tuples and kept a cell list per placement.  The profile is
 derandomized, so every run draws the same examples.
 """
 
@@ -18,6 +19,7 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,7 @@ from halfcross.geometry import (
     covers,
     index_to_point,
     pairwise_minimum,
+    point_to_index,
     torus_covers,
     upsilon_offsets,
 )
@@ -43,6 +46,7 @@ from halfcross.lattice import (
     is_lattice_tiling,
     window,
 )
+from halfcross.search import SearchConfig, SearchStats, divisibility_precheck, search_tilings
 from halfcross.tiling import (
     _ENTRIES,
     DEFAULT_CELL_BUDGET,
@@ -526,6 +530,83 @@ def locate_tile_binary_oracle(a, code):
     return x
 
 
+class _Budget(Exception):
+    pass
+
+
+def search_tilings_oracle(cfg: SearchConfig) -> tuple[list[PeriodicTiling], SearchStats]:
+    """Enumerate tilings of the (Z_p)^n torus up to ``max_solutions``.
+
+    With symmetry breaking the origin is fixed as a codeword (any tiling can
+    be translated to one containing it), so each reported solution stands for
+    its p^n translates.  Deterministic: cells and candidate placements are
+    tried in lexicographic order.
+    """
+    n, p = cfg.n, cfg.p
+    stats = SearchStats()
+    if not divisibility_precheck(n, p):
+        stats.status = "divisibility"
+        return [], stats
+
+    total = p**n
+    shape = upsilon_offsets(n)
+    tiles_needed = total // len(shape)
+
+    @cache
+    def cells_of(x: Point) -> list[int]:
+        return [point_to_index(tuple((xi - di) % p for xi, di in zip(x, off)), p)
+                for off in shape.offsets]
+
+    covered = bytearray(total)
+    placed: list[Point] = []
+    solutions: list[PeriodicTiling] = []
+
+    def place(x: Point) -> bool:
+        cells = cells_of(x)
+        if any(covered[c] for c in cells):
+            return False
+        for c in cells:
+            covered[c] = 1
+        placed.append(x)
+        return True
+
+    def unplace(x: Point) -> None:
+        for c in cells_of(x):
+            covered[c] = 0
+        placed.pop()
+
+    def recurse() -> None:
+        stats.nodes += 1
+        if stats.nodes > cfg.node_budget:
+            raise _Budget
+        if len(placed) == tiles_needed:
+            solutions.append(PeriodicTiling(n=n, p=p, codewords=placed))
+            stats.solutions += 1
+            return
+        lowest = covered.find(0)
+        a = index_to_point(lowest, n, p)
+        candidates = sorted(
+            {tuple((ai + di) % p for ai, di in zip(a, off)) for off in shape.offsets}
+        )
+        for x in candidates:
+            if not place(x):
+                continue
+            recurse()
+            unplace(x)
+            stats.backtracks += 1
+            if stats.solutions >= cfg.max_solutions:
+                return
+
+    if cfg.symmetry_breaking:
+        place((0,) * n)
+    try:
+        recurse()
+    except _Budget:
+        stats.status = "budget"
+
+    return solutions, stats
+
+
 # ------------------------------------------------------------- strategies
 
 
@@ -971,3 +1052,34 @@ def test_constructions_match_oracle(build, oracle, code):
     other = BINARY[2] if code.q == 3 else TERNARY[1]
     for c in (bad, other):
         assert _result_or_type(build, c) is _result_or_type(oracle, c) is ValueError
+
+
+#: small tori, (2, 4) failing the divisibility precheck
+SEARCH_TORI = [(1, 4), (1, 8), (1, 12), (2, 4), (2, 6), (2, 12), (2, 18),
+               (3, 4), (3, 8), (3, 12), (4, 10)]
+
+
+def _search_both(cfg):
+    sols, stats = search_tilings(cfg)
+    want_sols, want_stats = search_tilings_oracle(cfg)
+    assert stats == want_stats
+    assert [s.codewords for s in sols] == [s.codewords for s in want_sols]
+    return stats
+
+
+@PROFILE
+@given(torus=st.sampled_from(SEARCH_TORI), budget=st.integers(1, 50),
+       wanted=st.integers(1, 3), symmetry=st.booleans())
+def test_search_matches_tuple_search_node_for_node(torus, budget, wanted, symmetry):
+    # the same nodes, backtracks, status and solutions in the same order, also
+    # when the node budget or the solution count stops the search part way
+    n, p = torus
+    _search_both(SearchConfig(n=n, p=p, max_solutions=wanted,
+                              symmetry_breaking=symmetry, node_budget=budget))
+
+
+@pytest.mark.parametrize("n, p, symmetry", [(1, 8, False), (2, 12, True), (2, 12, False),
+                                            (3, 4, False), (2, 24, True)])
+def test_search_matches_tuple_search_to_completion(n, p, symmetry):
+    stats = _search_both(SearchConfig(n=n, p=p, max_solutions=10**6, symmetry_breaking=symmetry))
+    assert stats.status == "complete"

@@ -90,3 +90,12 @@ def test_range_and_integer_checks_live_in_one_helper():
             allowed |= checks(name, ast.walk(node))
     assert len(allowed) == 2
     assert sorted(found - allowed) == []
+
+
+def test_only_geometry_reads_the_offset_tuple_view():
+    # geometry._offsets is the one enumeration of the shape; the library reads
+    # that array, not the tuple view ``UpsilonShape.offsets`` kept for callers
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "offsets"
+             and name != "geometry.py"]
+    assert found == []
