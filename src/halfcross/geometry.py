@@ -3,7 +3,7 @@
 The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
 set Upsilon_n: a codeword X covers a cell A exactly when X - A lies in it.
-Only :func:`_offsets` enumerates it; :func:`upsilon_offsets` has a tuple view.
+Only :func:`_offsets` enumerates it; :class:`UpsilonShape` has a tuple view for callers.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def cross_distance(x: Point, y: Point) -> int:
 
 def cross_weight(x: Point) -> int:
     """Cross distance from x to the origin."""
-    return sum(max(0, abs(a) - 1) for a in x)
+    return cross_distance((0,) * len(x), x)
 
 
 def torus_cross_distance(x: Point, y: Point, p: int) -> int:
@@ -249,20 +249,15 @@ class UpsilonShape:
         rows = _offsets(self.n)
         return _tuples(rows[np.lexsort(rows.T[::-1])])
 
-    def cells(self, x: Point) -> set[Point]:
-        """All cells covered by a codeword at x (in Z^n, no wraparound)."""
-        return {tuple(a - d for a, d in zip(x, off)) for off in self.offsets}
-
     def torus_cells(self, x: Point, p: int) -> set[Point]:
-        """All cells covered by x on the torus (Z_p)^n."""
+        """All cells covered by x on the torus (Z_p)^n, exact for entries of any size."""
         p = _at_least(p, 4, "period")
-        return {tuple((a - d) % p for a, d in zip(x, off)) for off in self.offsets}
+        _pair(x, (0,) * self.n)
+        return set(_tuples((np.array([*map(int, x)], dtype=object) - _offsets(self.n)) % p))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 == 2 must not find UpsilonShape(n=2)
-def upsilon_offsets(n: int) -> UpsilonShape:
-    """The n-dimensional half-cross, whose 2^n(n+1) offsets are built on first use."""
-    return UpsilonShape(n=n)
+#: upsilon_offsets(n) is a new n-dimensional half-cross; its offsets are built on first use
+upsilon_offsets = UpsilonShape
 
 
 def covers(x: Point, a: Point) -> bool:
@@ -285,14 +280,15 @@ def covers(x: Point, a: Point) -> bool:
 
 
 def torus_covers(x, a: Point, p: int):
-    """:func:`covers` on the torus for points reduced mod p (p >= 4); x may also be a
-    (k, n) array of codewords, answered row by row."""
+    """:func:`covers` on the torus (Z_p)^n, p >= 4, exact for points with integer entries
+    of any size; x may also be a (k, n) integer array of codewords, answered row by row."""
     if np.shape(x)[-1] != len(a):
         raise DimensionMismatch(f"length {np.shape(x)[-1]} vs {len(a)}")
-    x = np.asarray(x)  # an integer array needs no look at each entry
-    _integer_entries(a if x.dtype.kind in "biu" else (*x.ravel().tolist(), *a))
+    words = isinstance(x, np.ndarray) and x.dtype.kind in "biu"  # needs no look at each entry
+    _integer_entries(a if words else (*x, *a))
     p = _at_least(p, 4, "period")
-    d = (x.astype(np.int64) - a) % p
+    x = x.astype(np.int64) if words else np.array([*map(int, x)], dtype=object)  # never wraps
+    d = (x - [int(v) % p for v in a]) % p
     arm = (d == 2) | (d == p - 1)  # an exceptional entry, -1 or 2
     hit = ((d <= 1) | arm).all(axis=-1) & (arm.sum(axis=-1) <= 1)
     return hit if hit.ndim else bool(hit)

@@ -123,6 +123,7 @@ def contains(lattice: IntegerLattice, x: Point) -> bool:
     """True iff x is an integer combination of the generator rows."""
     if len(x) != lattice.n:
         raise ValueError(f"point length {len(x)} != lattice dimension {lattice.n}")
+    _integer_entries(x)
     return not _reduce(lattice.hnf, np.array([x], dtype=object)).any()
 
 

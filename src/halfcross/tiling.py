@@ -29,6 +29,7 @@ from . import _fileformat
 from .geometry import (
     Point,
     _at_least,
+    _integer_entries,
     _offsets,
     _row_keys,
     _WordArray,
@@ -421,6 +422,7 @@ def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
 
 def permute(tiling: PeriodicTiling, sigma: tuple[int, ...]) -> PeriodicTiling:
     """Apply a coordinate permutation: coordinate i takes the old sigma[i]-th value."""
+    _integer_entries(sigma, "permutation entry")
     if sorted(sigma) != list(range(tiling.n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{tiling.n - 1}")
     return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=tiling.words[:, list(sigma)])

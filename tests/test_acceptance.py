@@ -257,10 +257,14 @@ def test_criterion_10_oracle_equivalences(big_ternary):
 
     # disjointness <=> d_C >= 3 by explicit cell-set intersection, n <= 3
     for n in (1, 2, 3):
-        shape = upsilon_offsets(n)
-        base = shape.cells((0,) * n)
+        offs = upsilon_offsets(n).offsets
+
+        def cells(y):
+            return {tuple(a - d for a, d in zip(y, off)) for off in offs}
+
+        base = cells((0,) * n)
         for y in itertools.product(range(-5, 6), repeat=n):
-            disjoint = not (base & shape.cells(y))
+            disjoint = not (base & cells(y))
             ok = ok and disjoint == (cross_distance((0,) * n, y) >= 3)
 
     # sharded verifier <=> naive per-cell scan on p^n <= 1e5 instances

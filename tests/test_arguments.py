@@ -13,18 +13,20 @@ from halfcross.constructions import locate_tile_binary, locate_tile_ternary
 from halfcross.geometry import (
     UpsilonShape,
     covers,
+    cross_weight,
     point_to_index,
     torus_covers,
     torus_cross_distance,
     upsilon_offsets,
 )
-from halfcross.lattice import IntegerLattice, lambda_lattice, window, window_array
+from halfcross.lattice import IntegerLattice, contains, lambda_lattice, window, window_array
 from halfcross.search import SearchConfig
 from halfcross.tiling import (
     PeriodicTiling,
     admissible_dimension,
     is_periodic_with,
     nonexistence_certificate,
+    permute,
     verify,
     write_tiling,
 )
@@ -41,7 +43,7 @@ SITES = [
     ("torus_cells", "period", 4, lambda v: upsilon_offsets(1).torus_cells((0,), v)),
     ("torus_covers", "period", 4, lambda v: torus_covers((0,), (0,), v)),
     ("UpsilonShape", "dimension", 1, lambda v: UpsilonShape(n=v)),
-    # a cached n = 4 must not answer for n = 4.0
+    # 4.0 is refused after a call with 4, as it would not be by a memo keyed on n
     ("upsilon_offsets", "dimension", 1, lambda v: (upsilon_offsets(4), upsilon_offsets(v))),
     ("PeriodicTiling.n", "dimension", 1, lambda v: PeriodicTiling(n=v, p=4, codewords=())),
     ("PeriodicTiling.p", "period", 4, lambda v: PeriodicTiling(n=1, p=v, codewords=())),
@@ -67,6 +69,11 @@ SITES = [
     # points: the message names the entry
     ("torus_covers.x", "point entry", None, lambda v: torus_covers((v, 0), (0, 0), 4)),
     ("torus_covers.a", "point entry", None, lambda v: torus_covers((0, 0), (0, v), 4)),
+    ("torus_cells.x", "point entry", None, lambda v: upsilon_offsets(2).torus_cells((v, 0), 4)),
+    ("contains", "point entry", None, lambda v: contains(lambda_lattice(1), (v, 2))),
+    ("cross_weight", "point entry", None, lambda v: cross_weight((v, 3))),
+    ("permute", "permutation entry", None,
+     lambda v: permute(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 0))),
     ("point_to_index", "point entry", None, lambda v: point_to_index((v, 1), 4)),
     ("decode_within_1", "word entry", None,
      lambda v: decode_within_1(binary_hamming(3), (v, 0, 0, 0, 0, 0, 0))),

@@ -70,10 +70,9 @@ def test_offsets_match_cell_set_definition():
 
 
 def test_cells_at_point():
-    shape = upsilon_offsets(2)
-    cells = shape.cells((0, 0))
+    cells = upsilon_offsets(2).torus_cells((0, 0), 12)
     assert len(cells) == 12
-    assert cells == shape_cells_oracle(2)
+    assert cells == {tuple(c % 12 for c in cell) for cell in shape_cells_oracle(2)}
 
 
 def test_covers_equals_offset_membership():
@@ -108,10 +107,9 @@ def test_cross_distance_not_a_metric():
 def test_disjointness_iff_cross_distance_3():
     # two translates of the shape are disjoint exactly when d_C >= 3
     for n in (1, 2):
-        shape = upsilon_offsets(n)
-        base = shape.cells((0,) * n)
+        base = shape_cells_oracle(n)
         for y in itertools.product(range(-5, 6), repeat=n):
-            other = shape.cells(y)
+            other = {tuple(yi + ci for yi, ci in zip(y, c)) for c in base}
             disjoint = not (base & other)
             assert disjoint == (cross_distance((0,) * n, y) >= 3), y
 
@@ -135,12 +133,32 @@ def test_torus_requires_period_4():
 
 
 def test_torus_covers_matches_plain_covers():
-    p = 5
     shape = upsilon_offsets(2)
-    for x in itertools.product(range(p), repeat=2):
-        cells = {tuple(c % p for c in cell) for cell in shape.cells(x)}
-        for a in itertools.product(range(p), repeat=2):
-            assert torus_covers(x, a, p) == (a in cells)
+    for p in (4, 5):  # at p = 4 the arm residues 2 and 3 are next to each other
+        for x in itertools.product(range(p), repeat=2):
+            cells = shape.torus_cells(x, p)
+            for a in itertools.product(range(p), repeat=2):
+                assert torus_covers(x, a, p) == (a in cells)
+
+
+def test_torus_covers_and_cells_are_exact_on_python_ints_of_any_size():
+    # points past int64, or within p of its ends, are worked in Python ints and
+    # cells reduced mod p in them; the oracle is the shape's definition
+    assert torus_covers((2**70, 0), (0, 0), 4)
+    shape, base = upsilon_offsets(2), shape_cells_oracle(2)
+    rng = random.Random(22)
+    ends = (2**63 - 1, -(2**63), 2**64, 2**70, -(2**70))
+    for p in (4, 5, 12):
+        for _ in range(100):
+            x, a = (tuple(rng.choice(ends) + rng.randrange(-3, 4) for _ in range(2))
+                    for _ in range(2))
+            want = any(all((xi + ci - ai) % p == 0 for xi, ci, ai in zip(x, c, a))
+                       for c in base)
+            assert torus_covers(x, a, p) == want, (x, a, p)
+            assert (tuple(v % p for v in a) in shape.torus_cells(x, p)) == want
+            # the integer-array path takes the cell as given too
+            words = np.array([[v % p for v in x]], dtype=np.uint8)
+            assert torus_covers(words, a, p).tolist() == [want]
 
 
 def test_torus_cells_count_preserved():
@@ -155,6 +173,8 @@ def test_dimension_mismatch():
         hamming_distance((0, 1), (0, 1, 2))
     with pytest.raises(DimensionMismatch):
         cross_distance((0,), (0, 0))
+    with pytest.raises(DimensionMismatch):  # no entry is left out or broadcast
+        upsilon_offsets(2).torus_cells((0,), 4)
 
 
 def test_pairwise_minimum_matches_per_pair_loop(monkeypatch):

@@ -92,10 +92,26 @@ def test_range_and_integer_checks_live_in_one_helper():
     assert sorted(found - allowed) == []
 
 
-def test_only_geometry_reads_the_offset_tuple_view():
+def test_no_library_module_reads_the_offset_tuple_view():
     # geometry._offsets is the one enumeration of the shape; the library reads
-    # that array, not the tuple view ``UpsilonShape.offsets`` kept for callers
+    # that array, geometry.py included, and not the tuple view
+    # ``UpsilonShape.offsets``, which is built for callers only
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
              if isinstance(node, ast.Attribute) and node.attr == "offsets"
-             and name != "geometry.py"]
+             and isinstance(node.ctx, ast.Load)]
+    assert found == []
+
+
+def test_no_library_function_is_memoized():
+    # functools.cache and lru_cache keep every argument and result until the
+    # process exits: memory that outlives its objects, which no span or
+    # benchmark peak attributes to the call that made it
+    def memo(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        return name in ("cache", "lru_cache")
+
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(memo(d) for d in node.decorator_list)]
     assert found == []
