@@ -172,11 +172,11 @@ def decode_within_1(code: BlockCode, word: Point) -> Point | None:
     """
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} != code length {code.length}")
-    _integer_entries(word, "word entry")
-    if any(s < 0 or s >= code.q for s in word):
+    entries = _integer_entries(word, "word entry")
+    if any(s < 0 or s >= code.q for s in entries):
         raise ValueError(f"word {word} has symbols outside Z_{code.q}")
     table = set(code.codewords)
-    return next((v for v in _sphere(word, code.q) if v in table), None)
+    return next((v for v in _sphere(entries, code.q) if v in table), None)
 
 
 def write_code(code: BlockCode, path: str | Path) -> None:

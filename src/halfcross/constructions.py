@@ -118,7 +118,7 @@ def _locate(a: Point, code: BlockCode, route: _Route) -> Point:
     m = route.phi.shape[1]
     if len(a) != m * code.length:
         raise ValueError(f"point length {len(a)} != {m * code.length}, {m} per code symbol")
-    _integer_entries(a)
+    a = _integer_entries(a)
     residues = lat._reduce(route.hnf, np.array(a, dtype=object).reshape(-1, m))
     b = list(map(tuple, residues.tolist()))
     w = decode_within_1(code, tuple(route.psi[bi] for bi in b))

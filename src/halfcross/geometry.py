@@ -4,6 +4,10 @@ The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
 set Upsilon_n: a codeword X covers a cell A exactly when X - A lies in it.
 Only :func:`_offsets` enumerates it; :class:`UpsilonShape` has a tuple view for callers.
+
+Points are read as Python ints, so numpy scalar entries never wrap, and every
+distance and cover test is one of three kernels (torus wrap, cross sum, shape
+test) on the difference array of :func:`_pair`.
 """
 
 from __future__ import annotations
@@ -36,27 +40,46 @@ def _at_least(value, low, what: str) -> int:
     return value
 
 
-def _integer_entries(entries, what: str = "point entry") -> None:
+def _integer_entries(entries, what: str = "point entry") -> Point:
+    """The entries as Python ints; ValueError names the first that is not an integer."""
     if bad := [v for v in entries if not hasattr(v, "__index__")]:
         raise ValueError(f"{what} {bad[0]} is not an integer")
+    return tuple(map(operator.index, entries))
 
 
-def _pair(x: Point, y: Point) -> None:
+def _pair(x: Point, y: Point) -> np.ndarray:
+    """y - x as an object array of Python ints: every distance and cover test reads it."""
     if len(x) != len(y):
         raise DimensionMismatch(f"length {len(x)} vs {len(y)}")
-    _integer_entries((*x, *y))
+    v = _integer_entries((*x, *y))
+    return np.array(v[len(x):], dtype=object) - np.array(v[:len(x)], dtype=object)
+
+
+def _wrap(d, p: int):
+    # each |d_i| on the torus Z_p: min(d_i mod p, p - d_i mod p)
+    d = d % p
+    return np.minimum(d, p - d)
+
+
+def _cross_sum(d):
+    # the cross distance of the differences d along the last axis
+    return np.maximum(abs(d) - 1, 0).sum(axis=-1)
+
+
+def _in_shape(d):
+    # whether each row of d lies in Upsilon_n: every entry in -1..2, at most one in {-1, 2}
+    arm = (d == -1) | (d == 2)
+    return ((d >= -1) & (d <= 2)).all(axis=-1) & (arm.sum(axis=-1) <= 1)
 
 
 def hamming_distance(x: Point, y: Point) -> int:
     """Number of positions where x and y differ."""
-    _pair(x, y)
-    return sum(1 for a, b in zip(x, y) if a != b)
+    return int((_pair(x, y) != 0).sum())
 
 
 def manhattan_distance(x: Point, y: Point) -> int:
     """Sum of absolute coordinate differences."""
-    _pair(x, y)
-    return sum(abs(a - b) for a, b in zip(x, y))
+    return abs(_pair(x, y)).sum()
 
 
 def cross_distance(x: Point, y: Point) -> int:
@@ -65,8 +88,7 @@ def cross_distance(x: Point, y: Point) -> int:
     Not a metric: it violates the triangle inequality, but two shape
     translates at X and Y are disjoint exactly when this is >= 3.
     """
-    _pair(x, y)
-    return sum(max(0, abs(b - a) - 1) for a, b in zip(x, y))
+    return _cross_sum(_pair(x, y))
 
 
 def cross_weight(x: Point) -> int:
@@ -81,14 +103,7 @@ def torus_cross_distance(x: Point, y: Point, p: int) -> int:
     Periods below 4 are rejected: the shape has extent 4 per axis and would
     self-overlap.
     """
-    _pair(x, y)
-    p = _at_least(p, 4, "period")
-    total = 0
-    for a, b in zip(x, y):
-        d = abs(b - a) % p
-        d = min(d, p - d)
-        total += max(0, d - 1)
-    return total
+    return _cross_sum(_wrap(_pair(x, y), _at_least(p, 4, "period")))
 
 
 def pairwise_minimum(
@@ -212,9 +227,8 @@ def index_to_point(idx: int, n: int, p: int) -> Point:
 
 def point_to_index(x: Point, p: int) -> int:
     """Inverse of :func:`index_to_point` for a cell with entries in 0..p-1."""
-    _integer_entries(x)
     idx = 0
-    for v in reversed(x):
+    for v in reversed(_integer_entries(x)):
         idx = idx * p + v
     return idx
 
@@ -250,10 +264,9 @@ class UpsilonShape:
         return _tuples(rows[np.lexsort(rows.T[::-1])])
 
     def torus_cells(self, x: Point, p: int) -> set[Point]:
-        """All cells covered by x on the torus (Z_p)^n, exact for entries of any size."""
+        """The cells x - D, D in Upsilon_n, mod p; exact for integer entries of any size."""
         p = _at_least(p, 4, "period")
-        _pair(x, (0,) * self.n)
-        return set(_tuples((np.array([*map(int, x)], dtype=object) - _offsets(self.n)) % p))
+        return set(_tuples(-(_pair(x, (0,) * self.n) + _offsets(self.n)) % p))
 
 
 #: upsilon_offsets(n) is a new n-dimensional half-cross; its offsets are built on first use
@@ -261,22 +274,9 @@ upsilon_offsets = UpsilonShape
 
 
 def covers(x: Point, a: Point) -> bool:
-    """True iff the codeword x covers the cell a.
-
-    Equivalent to (x - a) being a member of ``upsilon_offsets(n)``: every
-    x_i in {a_i-1, .., a_i+2} and at most one i with x_i in {a_i-1, a_i+2}.
-    """
-    _pair(x, a)
-    exceptional = 0
-    for xi, ai in zip(x, a):
-        d = xi - ai
-        if d < -1 or d > 2:
-            return False
-        if d == -1 or d == 2:
-            exceptional += 1
-            if exceptional > 1:
-                return False
-    return True
+    """True iff the codeword x covers the cell a, that is x - a lies in Upsilon_n:
+    every x_i in {a_i-1, .., a_i+2} and at most one i with x_i in {a_i-1, a_i+2}."""
+    return bool(_in_shape(-_pair(x, a)))
 
 
 def torus_covers(x, a: Point, p: int):
@@ -284,11 +284,13 @@ def torus_covers(x, a: Point, p: int):
     of any size; x may also be a (k, n) integer array of codewords, answered row by row."""
     if np.shape(x)[-1] != len(a):
         raise DimensionMismatch(f"length {np.shape(x)[-1]} vs {len(a)}")
-    words = isinstance(x, np.ndarray) and x.dtype.kind in "biu"  # needs no look at each entry
-    _integer_entries(a if words else (*x, *a))
+    # the shape test on (x - a + 1) mod p - 1, the representative of x - a in -1..p-2
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "biu"):  # a point: read each entry
+        return bool(_in_shape((1 - _pair(x, a)) % _at_least(p, 4, "period") - 1))
+    a = _integer_entries(a)
     p = _at_least(p, 4, "period")
-    x = x.astype(np.int64) if words else np.array([*map(int, x)], dtype=object)  # never wraps
-    d = (x - [int(v) % p for v in a]) % p
-    arm = (d == 2) | (d == p - 1)  # an exceptional entry, -1 or 2
-    hit = ((d <= 1) | arm).all(axis=-1) & (arm.sum(axis=-1) <= 1)
+    wide = np.int64 if p < 2**63 else object
+    # x mod p first, in its own dtype where p fits it, so no difference below wraps
+    x = ((x if np.can_cast(np.min_scalar_type(p), x.dtype) else x.astype(wide)) % p).astype(wide)
+    hit = _in_shape((x - np.array([v % p - 1 for v in a], dtype=wide)) % p - 1)
     return hit if hit.ndim else bool(hit)

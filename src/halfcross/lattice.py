@@ -9,7 +9,6 @@ avoided because these quantities feed certificates.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import prod
@@ -41,8 +40,7 @@ class IntegerLattice:
         object.__setattr__(self, "n", _at_least(self.n, 1, "dimension"))
         if len(self.generator) != self.n or any(len(r) != self.n for r in self.generator):
             raise ValueError(f"generator must be {self.n}x{self.n}")
-        _integer_entries([v for r in self.generator for v in r], "generator entry")
-        rows = tuple(tuple(map(operator.index, r)) for r in self.generator)
+        rows = tuple(_integer_entries(r, "generator entry") for r in self.generator)
         object.__setattr__(self, "generator", rows)
         object.__setattr__(self, "hnf", _hnf(rows))
         if self.hnf is None:
@@ -123,8 +121,7 @@ def contains(lattice: IntegerLattice, x: Point) -> bool:
     """True iff x is an integer combination of the generator rows."""
     if len(x) != lattice.n:
         raise ValueError(f"point length {len(x)} != lattice dimension {lattice.n}")
-    _integer_entries(x)
-    return not _reduce(lattice.hnf, np.array([x], dtype=object)).any()
+    return not _reduce(lattice.hnf, np.array([_integer_entries(x)], dtype=object)).any()
 
 
 def window(lattice: IntegerLattice, p: int) -> set[Point]:

@@ -29,10 +29,12 @@ from . import _fileformat
 from .geometry import (
     Point,
     _at_least,
+    _cross_sum,
     _integer_entries,
     _offsets,
     _row_keys,
     _WordArray,
+    _wrap,
     index_to_point,
     pairwise_minimum,
     point_to_index,
@@ -406,10 +408,7 @@ def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
     # a distance is at most n floor(p/2); past int64 it is summed in Python ints
     p = tiling.p
     exact = np.int64 if tiling.n * (p // 2) <= np.iinfo(np.int64).max else object
-    return pairwise_minimum(
-        tiling.words.astype(exact),
-        lambda a, b: np.maximum(np.minimum((a - b) % p, (b - a) % p) - 1, 0).sum(axis=-1),
-    )
+    return pairwise_minimum(tiling.words.astype(exact), lambda a, b: _cross_sum(_wrap(b - a, p)))
 
 
 def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
@@ -422,14 +421,15 @@ def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
 
 def permute(tiling: PeriodicTiling, sigma: tuple[int, ...]) -> PeriodicTiling:
     """Apply a coordinate permutation: coordinate i takes the old sigma[i]-th value."""
-    _integer_entries(sigma, "permutation entry")
-    if sorted(sigma) != list(range(tiling.n)):
+    order = list(_integer_entries(sigma, "permutation entry"))
+    if sorted(order) != list(range(tiling.n)):
         raise ValueError(f"{sigma} is not a permutation of 0..{tiling.n - 1}")
-    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=tiling.words[:, list(sigma)])
+    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=tiling.words[:, order])
 
 
 def reflect(tiling: PeriodicTiling, signs: Point) -> PeriodicTiling:
     """Negate (mod p) every coordinate whose sign entry is -1."""
+    signs = _integer_entries(signs, "sign entry")
     if len(signs) != tiling.n or any(a not in (-1, 1) for a in signs):
         raise ValueError("signs must be a length-n vector over {-1, 1}")
     moved = tiling.words.astype(np.int64) * np.asarray(signs) % tiling.p

@@ -13,7 +13,10 @@ from halfcross.constructions import locate_tile_binary, locate_tile_ternary
 from halfcross.geometry import (
     UpsilonShape,
     covers,
+    cross_distance,
     cross_weight,
+    hamming_distance,
+    manhattan_distance,
     point_to_index,
     torus_covers,
     torus_cross_distance,
@@ -27,6 +30,7 @@ from halfcross.tiling import (
     is_periodic_with,
     nonexistence_certificate,
     permute,
+    reflect,
     verify,
     write_tiling,
 )
@@ -74,6 +78,8 @@ SITES = [
     ("cross_weight", "point entry", None, lambda v: cross_weight((v, 3))),
     ("permute", "permutation entry", None,
      lambda v: permute(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 0))),
+    ("reflect", "sign entry", None,
+     lambda v: reflect(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 1))),
     ("point_to_index", "point entry", None, lambda v: point_to_index((v, 1), 4)),
     ("decode_within_1", "word entry", None,
      lambda v: decode_within_1(binary_hamming(3), (v, 0, 0, 0, 0, 0, 0))),
@@ -128,3 +134,66 @@ def test_numpy_int_sizes_are_held_as_python_ints(tmp_path):
     write_tiling(PeriodicTiling(n=2, p=12, codewords=words), tmp_path / "int.tiling")
     assert (tmp_path / "numpy.tiling").read_bytes() == (tmp_path / "int.tiling").read_bytes()
     assert verify(t).cells_total == 144 and type(verify(t).cells_total) is int
+
+
+def _as_ints(result):
+    # the result with every integer that is not a bool replaced by its type and value
+    if isinstance(result, (tuple, list, set)):
+        return type(result)(map(_as_ints, result))
+    return result if isinstance(result, bool) else (type(result), result)
+
+
+def _outcome(call, *args):
+    try:
+        return _as_ints(call(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+#: every function that takes points, as a call of two points
+_POINT_CALLS = [
+    hamming_distance,
+    manhattan_distance,
+    cross_distance,
+    lambda x, y: cross_weight(x),
+    lambda x, y: torus_cross_distance(x, y, 12),
+    covers,
+    lambda x, y: covers(y, x),
+    lambda x, y: torus_covers(x, y, 12),
+    lambda x, y: upsilon_offsets(len(x)).torus_cells(x, 12),
+    lambda x, y: point_to_index(x, 256),
+    lambda x, y: contains(lambda_lattice(1), x),
+]
+
+
+def test_numpy_scalar_points_are_worked_as_python_ints():
+    # a point taken as tuple(tiling.words[i]) has numpy scalar entries; every
+    # result is the one for the same values as Python ints, in Python ints
+    u8, i64 = np.uint8, np.int64
+    top, bottom = 2**63 - 1, -(2**63)
+    pairs = [
+        ((u8(3),), (u8(0),)),
+        ((u8(0), u8(0)), (u8(1), u8(0))),
+        ((u8(200), u8(200)), (u8(255), u8(0))),
+        ((i64(top), i64(bottom)), (i64(bottom), i64(top))),
+        ((i64(top), i64(0)), (i64(top - 1), i64(1))),
+    ]
+    for x, y in pairs:
+        ints = tuple(map(int, x)), tuple(map(int, y))
+        for i, call in enumerate(_POINT_CALLS):
+            assert _outcome(call, x, y) == _outcome(call, *ints), (i, x, y)
+    # the cases that wrapped or overflowed in the point's own dtype
+    assert cross_distance((u8(3),), (u8(0),)) == 2
+    assert manhattan_distance((u8(0),), (u8(3),)) == 3
+    assert torus_cross_distance((u8(3),), (u8(0),), 12) == 2
+    assert covers((u8(0), u8(0)), (u8(1), u8(0)))
+    assert _as_ints(point_to_index((u8(200), u8(200)), 256)) == (int, 51400)
+    for locate, code, n in ((locate_tile_binary, binary_hamming(3), 7),
+                            (locate_tile_ternary, ternary_hamming(2), 8)):
+        for a in ((u8(255),) * n, (i64(top),) * n, (i64(bottom),) * n):
+            got = locate(a, code)
+            assert _as_ints(got) == _as_ints(locate(tuple(map(int, a)), code))
+            assert {type(v) for v in got} == {int}
+    assert locate_tile_binary((u8(255),) * 7, binary_hamming(3)) == (256,) * 7
+    word = (u8(1),) + tuple(map(u8, binary_hamming(3).codewords[0][1:]))
+    assert _as_ints(decode_within_1(binary_hamming(3), word)) == _as_ints((0,) * 7)

@@ -10,7 +10,8 @@ the array-backed BlockCode and the codes derived from it with the tuple-backed
 code and its per-word validation loop, and the constructions and locators
 with the per-family code that used the paper's transcribed class and
 adjustment tables, and the search with the search that walked the offsets as
-tuples and kept a cell list per placement.  The profile is
+tuples and kept a cell list per placement, and the distances and cover tests
+with the loops that computed them one coordinate at a time.  The profile is
 derandomized, so every run draws the same examples.
 """
 
@@ -33,10 +34,12 @@ from halfcross.codes import BlockCode, decode_within_1, is_perfect
 from halfcross.geometry import (
     Point,
     covers,
+    cross_distance,
     index_to_point,
     pairwise_minimum,
     point_to_index,
     torus_covers,
+    torus_cross_distance,
     upsilon_offsets,
 )
 from halfcross.lattice import (
@@ -293,6 +296,35 @@ def file_oracle(n, p, words):
     lines = ["TILING v1", f"n {n}", f"p {p}", f"count {len(words)}"]
     lines.extend(" ".join(map(str, w)) for w in sorted(words))
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# the loop forms of covers and the cross distances that the point kernels replaced
+
+
+def covers_oracle(x, a):
+    exceptional = 0
+    for xi, ai in zip(x, a):
+        d = xi - ai
+        if d < -1 or d > 2:
+            return False
+        if d == -1 or d == 2:
+            exceptional += 1
+            if exceptional > 1:
+                return False
+    return True
+
+
+def cross_distance_oracle(x, y):
+    return sum(max(0, abs(b - a) - 1) for a, b in zip(x, y))
+
+
+def torus_cross_distance_oracle(x, y, p):
+    total = 0
+    for a, b in zip(x, y):
+        d = abs(b - a) % p
+        d = min(d, p - d)
+        total += max(0, d - 1)
+    return total
 
 
 def torus_covers_oracle(x, a, p):
@@ -610,6 +642,10 @@ def search_tilings_oracle(cfg: SearchConfig) -> tuple[list[PeriodicTiling], Sear
 # ------------------------------------------------------------- strategies
 
 
+#: a point entry: anywhere in a wide box, or near the origin
+POINT_ENTRY = st.integers(-(10**12), 10**12) | st.integers(-13, 13)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -750,6 +786,34 @@ def test_witness_and_audit_extraction_match_oracle(case):
         fake = VerificationReport(True, p**n, 0, 0)
         audit = structural_audit(t, fake)
         assert (audit.f1_pairs, audit.f2_triples) == f1_f2_oracle(words)
+
+
+@PROFILE
+@given(data=st.data())
+def test_point_kernels_match_loop_forms(data):
+    # x, a point y anywhere, a point near x (often covered by it) and that one
+    # moved by multiples of the period
+    n, p = data.draw(st.sampled_from(DIMS))
+    x, y = (tuple(data.draw(st.lists(POINT_ENTRY, min_size=n, max_size=n))) for _ in "xy")
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    wraps = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    near = tuple(v + d for v, d in zip(x, shift))
+    far = tuple(v + k * p for v, k in zip(near, wraps))
+    for other in (y, near, far):
+        assert covers(x, other) == covers_oracle(x, other)
+        assert covers(other, x) == covers_oracle(other, x)
+        assert cross_distance(x, other) == cross_distance_oracle(x, other)
+        assert torus_cross_distance(x, other, p) == torus_cross_distance_oracle(x, other, p)
+        want = torus_covers_oracle(x, other, p)
+        assert torus_covers(x, other, p) == want
+        # a codeword array in the window, as verify's witness passes it
+        words = np.array([[v % p for v in x]], dtype=np.min_scalar_type(p - 1))
+        assert torus_covers(words, other, p).tolist() == [want]
+        # a point taken from it as tuple(words[0]) has numpy scalar entries
+        cell, ints = tuple(words[0]), tuple(v % p for v in x)
+        assert covers(cell, other) == covers_oracle(ints, other)
+        assert cross_distance(cell, other) == cross_distance_oracle(ints, other)
+        assert torus_cross_distance(cell, other, p) == torus_cross_distance_oracle(ints, other, p)
 
 
 def _check_every_split(n, p, words):
@@ -983,12 +1047,12 @@ def test_to_binary_perfect_matches_tuple_round_trip():
 def test_locators_match_oracle(kind, data):
     m, locate, oracle, by_t = LOCATORS[kind]
     code = by_t[data.draw(st.sampled_from(sorted(by_t)))]
-    entry = st.integers(-(10**12), 10**12) | st.integers(-13, 13)
-    a = tuple(data.draw(st.lists(entry, min_size=m * code.length, max_size=m * code.length)))
+    a = tuple(data.draw(st.lists(POINT_ENTRY, min_size=m * code.length,
+                                 max_size=m * code.length)))
     assert locate(a, code) == oracle(a, code)
     # a point of the wrong length
     short = a[: data.draw(st.integers(0, len(a) - 1))]
-    longer = a + tuple(data.draw(st.lists(entry, min_size=1, max_size=3)))
+    longer = a + tuple(data.draw(st.lists(POINT_ENTRY, min_size=1, max_size=3)))
     for bad in (short, longer):
         assert _result_or_type(locate, bad, code) is ValueError
         assert _result_or_type(oracle, bad, code) is ValueError

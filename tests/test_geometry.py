@@ -159,6 +159,16 @@ def test_torus_covers_and_cells_are_exact_on_python_ints_of_any_size():
             # the integer-array path takes the cell as given too
             words = np.array([[v % p for v in x]], dtype=np.uint8)
             assert torus_covers(words, a, p).tolist() == [want]
+            # and reduces rows mod p before any subtraction, in every dtype that holds them
+            for dtype in (np.int64, np.uint64):
+                if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in x):
+                    assert torus_covers(np.array([x], dtype=dtype), a, p).tolist() == [want]
+    assert torus_covers(np.array([[-(2**63), 0]]), (5, 0), 12).tolist() == [True]
+    assert torus_covers(np.array([[2**64 - 1, 0]], dtype=np.uint64), (3, 0), 12).tolist() == [True]
+    # periods past int64 work an integer array in Python ints
+    for p in (2**63 + 5, 2**64 + 1):
+        words = np.array([[2**64 - 1, 3], [0, 3]], dtype=np.uint64)
+        assert torus_covers(words, (2**64 - 2, 2), p).tolist() == [True, False]
 
 
 def test_torus_cells_count_preserved():

@@ -115,3 +115,12 @@ def test_no_library_function_is_memoized():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any(memo(d) for d in node.decorator_list)]
     assert found == []
+
+
+def test_no_integer_entry_check_is_dropped():
+    # geometry._integer_entries returns a point's entries as Python ints; a caller
+    # that drops them and computes on what it was given wraps with numpy scalars
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+             and getattr(node.value.func, "id", None) == "_integer_entries"]
+    assert found == []
