@@ -112,25 +112,20 @@ def cmd_verify(args) -> int:
 
 def cmd_locate(args) -> int:
     code = codes.read_code(args.code)
-    binary = args.tiling_method == "binary"
+    route = constructions._ROUTES[args.tiling_method]
     try:
-        # the locators trust the code, so it is certified once here
-        constructions._require_perfect(code, 2 if binary else 3)
+        # the locator trusts the code, so it is certified once here
+        constructions._require_perfect(code, route.q)
     except ValueError as exc:
         return _error(exc, EXIT_PRECONDITION)
     try:
         point = tuple(int(v) for v in args.point.split())
-        if binary:
-            x = constructions.locate_tile_binary(point, code)
-            p = 4
-        else:
-            x = constructions.locate_tile_ternary(point, code)
-            p = 12
+        x = constructions._locate(point, code, route)
     except ValueError as exc:
         return _error(exc, EXIT_USAGE)
     offset = tuple(xi - ai for xi, ai in zip(x, point))
     print(f"codeword: {' '.join(str(v) for v in x)}")
-    print(f"codeword_mod_{p}: {' '.join(str(v % p) for v in x)}")
+    print(f"codeword_mod_{route.p}: {' '.join(str(v % route.p) for v in x)}")
     print(f"offset: {' '.join(str(v) for v in offset)}")
     return EXIT_OK
 
@@ -158,10 +153,8 @@ def cmd_exist(args) -> int:
         print(f"witness: construction gives {cert.count_text} "
               f"codewords over Z_{forced}^{n}; window too large to verify here")
         return EXIT_OK
-    if adm.base == 2:
-        witness = constructions.from_binary_perfect(codes.binary_hamming(adm.t))
-    else:
-        witness = constructions.from_ternary_perfect(codes.ternary_hamming(adm.t))
+    route = next(r for r in constructions._ROUTES.values() if r.q == adm.base)
+    witness = constructions._construct(route.hamming(adm.t), route)
     report = tiling.verify(witness, pair_budget=0)
     print(f"witness: {len(witness)} codewords over Z_{witness.p}^{witness.n}, "
           f"verify: {'tiling' if report.is_tiling else 'not-a-tiling'}")
@@ -236,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     l = sub.add_parser("locate", help="find the tiling codeword covering a point")
-    l.add_argument("--tiling-method", choices=("binary", "ternary"), required=True)
+    l.add_argument("--tiling-method", choices=tuple(constructions._ROUTES), required=True)
     l.add_argument("--code", required=True)
     l.add_argument("--point", required=True, help='space-separated integers, e.g. "1 1"')
     l.set_defaults(func=cmd_locate)

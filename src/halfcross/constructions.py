@@ -6,25 +6,27 @@ ternary one.  Each family is a route: the alphabet q, the embedding rows phi(s)
 in Z^m, the block lattice L (4Z, or Lambda_2 spanned by (3, 2) and (0, 4)) and
 the period p; its tiling is phi(C) + L^nu over (Z_p)^{m nu}.
 
-The locator tables are derived from the route, not transcribed.  Since
-Upsilon_m + L tiles Z^m, each residue b of Z^m / L (a block reduced by L's
-Hermite normal form) and each symbol s have exactly one lift offset d in
-Upsilon_m with b + d in phi(s) + L, and psi(b) is the one symbol whose offset
-lies in the core {0,1}^m; the derivation raises RuntimeError at import unless
-both hold.  A locator reduces each block of the cell, decodes the psi word
+The locator tables are derived from the route, not transcribed, and indexed by
+a block's residue b in (Z_p)^m (coordinate 1 fastest, as in index_to_point).
+Since p e_i lies in L, b fixes the block's class of Z^m / L; since Upsilon_m + L
+tiles Z^m, each b and each symbol s have exactly one lift offset d in Upsilon_m
+with b + d in phi(s) + L, and psi(b) is the one symbol whose offset lies in the
+core {0,1}^m.  The derivation raises RuntimeError at import unless all three
+hold.  A locator takes each block of the cell mod p, decodes the psi word
 within radius 1 and adds the decoded symbols' lift offsets to the cell.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lattice as lat
-from .codes import BlockCode, decode_within_1, is_perfect
-from .geometry import Point, _integer_entries, _offsets, covers
+from .codes import BlockCode, binary_hamming, decode_within_1, is_perfect, ternary_hamming
+from .geometry import (Point, _at_least, _integer_entries, _offsets, covers, index_to_point,
+                       point_to_index)
 from .tiling import PeriodicTiling
 
 # pair representative of each ternary symbol
@@ -38,52 +40,53 @@ class _Route(NamedTuple):
     phi: np.ndarray  # (q, m) uint8, row s is phi(s)
     p: int
     hnf: list[list[int]]  # the block lattice L in Hermite normal form
-    psi: dict[Point, int]  # residue b -> psi(b)
-    lift: dict[Point, tuple[Point, ...]]  # residue b -> lift offset d of each symbol
+    hamming: Callable[[int], BlockCode]  # t -> the family's Hamming code
+    psi: np.ndarray  # (p^m,): psi(b) at the index of the residue b in (Z_p)^m
+    lift: np.ndarray  # (p^m, q, m): the lift offset d of each symbol at that index
 
 
-def _route(phi_rows: tuple[Point, ...], block: tuple[Point, ...], p: int) -> _Route:
-    """Derive a route's psi and lift tables; RuntimeError unless each residue has one
-    lift offset per symbol and exactly one symbol whose offset lies in the core."""
+def _route(phi_rows: tuple[Point, ...], block: tuple[Point, ...], p: int, hamming) -> _Route:
+    """Derive a route's psi and lift tables; RuntimeError unless L holds each p e_i,
+    each residue has one lift offset per symbol and exactly one symbol whose offset
+    lies in the core."""
     phi = np.array(phi_rows, dtype=np.int64)
     q, m = phi.shape
     hnf = lat._hnf(block)
-    residues = np.array(list(product(*(range(row[k]) for k, row in enumerate(hnf)))))
+    if lat._reduce(hnf, p * np.eye(m, dtype=np.int64)).any():
+        raise RuntimeError(f"L does not contain p e_i, so a residue mod {p} is not one class")
+    residues = np.array([index_to_point(b, m, p) for b in range(p**m)])
     offsets = _offsets(m)
     # hit[b, s, d]: b + d - phi(s) lies in L
     diff = residues[:, None, None] + offsets[None, None] - phi[None, :, None]
-    hit = ~lat._reduce(hnf, diff.reshape(-1, m)).any(axis=1)
-    hit = hit.reshape(len(residues), q, len(offsets))
+    hit = ~lat._reduce(hnf, diff.reshape(-1, m)).any(axis=1).reshape(diff.shape[:3])
     if (hit.sum(axis=2) != 1).any():
         raise RuntimeError("Upsilon_m + L does not give each residue one offset per symbol")
     lift = offsets[hit.argmax(axis=2)]
     core = ((lift == 0) | (lift == 1)).all(axis=2)
     if (core.sum(axis=1) != 1).any():
         raise RuntimeError("a residue does not have exactly one symbol lifting within the core")
-    keys = list(map(tuple, residues.tolist()))
-    return _Route(
-        q, phi.astype(np.uint8), p, hnf,
-        psi=dict(zip(keys, core.argmax(axis=1).tolist())),
-        lift={b: tuple(map(tuple, d)) for b, d in zip(keys, lift.tolist())},
-    )
+    return _Route(q, phi.astype(np.uint8), p, hnf, hamming, core.argmax(axis=1), lift)
 
 
-_BINARY = _route(((0,), (2,)), ((4,),), 4)
-_TERNARY = _route(tuple(PHI[s] for s in range(3)), lat.lambda_lattice(1).generator, 12)
+_BINARY = _route(((0,), (2,)), ((4,),), 4, binary_hamming)
+_TERNARY = _route(tuple(PHI.values()), lat.lambda_lattice(1).generator, 12, ternary_hamming)
+#: each code family's route, by the name of its tiling method
+_ROUTES = {"binary": _BINARY, "ternary": _TERNARY}
 
 
 def phi(symbol: int) -> tuple[int, int]:
     """Pair representative of a ternary symbol."""
-    if symbol not in PHI:
+    if (symbol := _at_least(symbol, -np.inf, "symbol")) not in PHI:
         raise ValueError(f"symbol must be in 0..2, got {symbol}")
     return PHI[symbol]
 
 
 def psi(pair: tuple[int, int]) -> int:
     """Class index (0, 1, or 2) of a pair from {0,1,2} x {0,1,2,3}."""
-    if pair not in _TERNARY.psi:
+    entries = _integer_entries(pair, "pair entry") if np.iterable(pair) else ()
+    if len(entries) != 2 or entries[0] not in range(3) or entries[1] not in range(4):
         raise ValueError(f"pair must lie in Z~3 x Z~4, got {pair}")
-    return _TERNARY.psi[pair]
+    return int(_TERNARY.psi[point_to_index(entries, _TERNARY.p)])
 
 
 def _require_alphabet(code: BlockCode, q: int) -> None:
@@ -113,19 +116,18 @@ def _construct(code: BlockCode, route: _Route) -> PeriodicTiling:
 
 
 def _locate(a: Point, code: BlockCode, route: _Route) -> Point:
-    # reduce each block of a to its residue b, decode the psi word, lift by b's offsets
+    # each block's residue mod p, indexed as by point_to_index, gives its psi symbol and
+    # lift offsets: decode the psi word, then lift each block by its decoded symbol's offset
     _require_alphabet(code, route.q)
     m = route.phi.shape[1]
     if len(a) != m * code.length:
         raise ValueError(f"point length {len(a)} != {m * code.length}, {m} per code symbol")
     a = _integer_entries(a)
-    residues = lat._reduce(route.hnf, np.array(a, dtype=object).reshape(-1, m))
-    b = list(map(tuple, residues.tolist()))
-    w = decode_within_1(code, tuple(route.psi[bi] for bi in b))
+    b = np.array([v % route.p for v in a]).reshape(-1, m) @ route.p ** np.arange(m)
+    w = decode_within_1(code, tuple(route.psi[b].tolist()))
     if w is None:
         raise ValueError("decode failure: the supplied code is not perfect")
-    d = [v for bi, s in zip(b, w) for v in route.lift[bi][s]]
-    x = tuple(ai + di for ai, di in zip(a, d))
+    x = tuple(ai + di for ai, di in zip(a, route.lift[b, w].ravel().tolist()))
     if not covers(x, a):
         raise RuntimeError(f"locator produced a non-covering point {x} for {a}")
     return x
@@ -179,9 +181,10 @@ def from_ternary_perfect(code: BlockCode) -> PeriodicTiling:
 def locate_tile_ternary(a: Point, code: BlockCode) -> Point:
     """The tiling codeword (as an unreduced Z^n point) covering the cell a.
 
-    Constructive: reduce each pair of a to its residue b modulo Lambda_2, decode
-    the word of psi(b) in the perfect code, then add to each pair the lift offset
-    of its decoded symbol.  The code is not re-checked for perfectness.
+    Constructive: take each pair of a mod 12 to its residue b, which fixes its
+    class modulo Lambda_2, decode the word of psi(b) in the perfect code, then add
+    to each pair the lift offset of its decoded symbol.  The code is not
+    re-checked for perfectness.
     """
     return _locate(a, code, _TERNARY)
 

@@ -218,8 +218,10 @@ class _WordArray:
 
 def index_to_point(idx: int, n: int, p: int) -> Point:
     """The cell of (Z_p)^n with mixed-radix index idx, coordinate 1 fastest."""
+    idx = _at_least(idx, 0, "index")
+    p = _at_least(p, 1, "period")
     coords = []
-    for _ in range(n):
+    for _ in range(_at_least(n, 1, "dimension")):
         coords.append(idx % p)
         idx //= p
     return tuple(coords)
@@ -227,6 +229,7 @@ def index_to_point(idx: int, n: int, p: int) -> Point:
 
 def point_to_index(x: Point, p: int) -> int:
     """Inverse of :func:`index_to_point` for a cell with entries in 0..p-1."""
+    p = _at_least(p, 1, "period")
     idx = 0
     for v in reversed(_integer_entries(x)):
         idx = idx * p + v

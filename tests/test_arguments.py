@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from halfcross.codes import BlockCode, binary_hamming, decode_within_1, ternary_hamming
-from halfcross.constructions import locate_tile_binary, locate_tile_ternary
+from halfcross.constructions import locate_tile_binary, locate_tile_ternary, phi, psi
 from halfcross.geometry import (
     UpsilonShape,
     covers,
     cross_distance,
     cross_weight,
     hamming_distance,
+    index_to_point,
     manhattan_distance,
     point_to_index,
     torus_covers,
@@ -80,7 +81,13 @@ SITES = [
      lambda v: permute(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 0))),
     ("reflect", "sign entry", None,
      lambda v: reflect(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 1))),
+    ("index_to_point.idx", "index", 0, lambda v: index_to_point(v, 2, 4)),
+    ("index_to_point.n", "dimension", 1, lambda v: index_to_point(0, v, 4)),
+    ("index_to_point.p", "period", 1, lambda v: index_to_point(0, 2, v)),
+    ("point_to_index.p", "period", 1, lambda v: point_to_index((1, 1), v)),
+    ("phi", "symbol", None, phi),
     ("point_to_index", "point entry", None, lambda v: point_to_index((v, 1), 4)),
+    ("psi", "pair entry", None, lambda v: psi((v, 2))),
     ("decode_within_1", "word entry", None,
      lambda v: decode_within_1(binary_hamming(3), (v, 0, 0, 0, 0, 0, 0))),
 ]
@@ -134,6 +141,9 @@ def test_numpy_int_sizes_are_held_as_python_ints(tmp_path):
     write_tiling(PeriodicTiling(n=2, p=12, codewords=words), tmp_path / "int.tiling")
     assert (tmp_path / "numpy.tiling").read_bytes() == (tmp_path / "int.tiling").read_bytes()
     assert verify(t).cells_total == 144 and type(verify(t).cells_total) is int
+    # mixed-radix indexes: 2^64 + 2^32 + 1 does not wrap in the period's int64
+    assert _as_ints(point_to_index((1, 1, 1), np.int64(2**32))) == (int, 2**64 + 2**32 + 1)
+    assert _as_ints(index_to_point(np.uint8(200), 2, np.uint8(16))) == ((int, 8), (int, 12))
 
 
 def _as_ints(result):

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 
 from halfcross import constructions
@@ -17,9 +19,10 @@ from halfcross.constructions import (
     punctured_construction,
     to_binary_perfect,
 )
-from halfcross.geometry import covers
+from halfcross.geometry import covers, upsilon_offsets
 from halfcross.lattice import is_lattice_tiling, lambda_lattice, window
 from halfcross.tiling import PeriodicTiling, normalize, structural_audit, verify
+from test_lattice import cramer_contains, det_oracle
 
 # frozen: a 16-word period-4 tiling of Z^7 recovered by the 0/1 vs 2/3 collapse
 EXAMPLE_7D = tuple(
@@ -120,6 +123,10 @@ def test_punctured_rejects_short_code():
 def test_phi_psi_inverse_on_representatives():
     for s in range(3):
         assert psi(phi(s)) == s
+        # entries are read as integers, from any sequence
+        assert psi(list(phi(np.int64(s)))) == psi(tuple(map(np.uint8, phi(s)))) == s
+    with pytest.raises(ValueError, match=r"^symbol must be in 0\.\.2, got 3$"):
+        phi(np.int64(3))
 
 
 def test_psi_classes_partition():
@@ -128,34 +135,71 @@ def test_psi_classes_partition():
     for pair in itertools.product(range(3), range(4)):
         sizes[psi(pair)] += 1
     assert sizes == {0: 4, 1: 4, 2: 4}
-    with pytest.raises(ValueError):
-        psi((3, 0))
+    for pair in ((3, 0), [0, 4], (0, -1), (1,), (1, 2, 0), 5):
+        message = f"pair must lie in Z~3 x Z~4, got {pair}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            psi(pair)
 
 
 def test_derived_tables_match_paper():
+    # the tables are indexed by the residue b in (Z_12)^2 at b_1 + 12 b_2; the paper
+    # prints them on the 12 pairs of the HNF box {0,1,2} x {0,1,2,3}
     route = constructions._TERNARY
-    assert {pair: psi(pair) for pair in route.psi} == {
+    box = list(itertools.product(range(3), range(4)))
+    assert {b: psi(b) for b in box} == {b: int(route.psi[b[0] + 12 * b[1]]) for b in box} == {
         pair: s for s, rep in constructions.PHI.items() for pair in CLASSES[rep]
     }
     assert {
-        b: {phi(s): tuple(v + d for v, d in zip(b, route.lift[b][s])) for s in range(3)}
-        for b in route.lift
+        b: {phi(s): tuple(v + d for v, d in zip(b, route.lift[b[0] + 12 * b[1], s].tolist()))
+            for s in range(3)}
+        for b in box
     } == ADJUST
     # binary: psi(b) = ceil(b / 2) mod 2, and b + d is the value in b-1..b+2 that is 2s mod 4
     route = constructions._BINARY
-    assert route.psi == {(b,): (b + 1) // 2 % 2 for b in range(4)}
-    assert route.lift == {(b,): tuple((-1 + (2 * s - b + 1) % 4,) for s in (0, 1)) for b in range(4)}
+    assert route.psi.tolist() == [(b + 1) // 2 % 2 for b in range(4)]
+    assert route.lift.tolist() == [[[-1 + (2 * s - b + 1) % 4] for s in (0, 1)] for b in range(4)]
+
+
+@pytest.mark.parametrize("route, block", [
+    (constructions._BINARY, ((4,),)),
+    (constructions._TERNARY, ((3, 2), (0, 4))),
+], ids=["binary", "ternary"])
+def test_route_tables_hold_at_every_residue_mod_p(route, block):
+    p, (q, m) = route.p, route.phi.shape
+    det = det_oracle([list(r) for r in block])
+    shape = set(upsilon_offsets(m).offsets)
+    residues = list(itertools.product(range(p), repeat=m))
+    assert route.psi.shape == (p**m,) and route.lift.shape == (p**m, q, m)
+
+    def index(b):  # coordinate 1 fastest
+        return sum(v * p**k for k, v in enumerate(b))
+
+    for b in residues:
+        lifts = [tuple(route.lift[index(b), s].tolist()) for s in range(q)]
+        for s, d in enumerate(lifts):
+            # b + d lies in phi(s) + L, by Cramer's rule on L's generator
+            x = [bi + di - f for bi, di, f in zip(b, d, route.phi[s].tolist())]
+            assert cramer_contains(block, det, x), (b, s)
+            assert d in shape, (b, s)
+        core = [s for s, d in enumerate(lifts) if set(d) <= {0, 1}]
+        assert core == [route.psi[index(b)]], b
+        # psi(b) is a function of the class b + L
+        for g in block:
+            moved = tuple((bi + gi) % p for bi, gi in zip(b, g))
+            assert route.psi[index(moved)] == route.psi[index(b)], (b, g)
 
 
 @pytest.mark.parametrize(
-    "phi_rows, block, message",
-    [(((0,), (2,)), ((2,),), "one offset per symbol"),  # Upsilon_1 meets each class of 2Z twice
-     (((0,), (1,)), ((4,),), "exactly one symbol")],  # both symbols lift within the core of 0
-    ids=["upsilon-twice-per-residue", "two-core-symbols"],
+    "phi_rows, block, p, message",
+    [(((0,), (2,)), ((2,),), 4, "one offset per symbol"),  # Upsilon_1 meets each class of 2Z twice
+     (((0,), (1,)), ((4,),), 4, "exactly one symbol"),  # both symbols lift within the core of 0
+     # the binary route but for its period: 0 and 4 are one residue mod 4 but not mod 6
+     (((0,), (2,)), ((4,),), 6, "does not contain p e_i")],
+    ids=["upsilon-twice-per-residue", "two-core-symbols", "period-outside-lattice"],
 )
-def test_route_derivation_rejects_bad_routes(phi_rows, block, message):
+def test_route_derivation_rejects_bad_routes(phi_rows, block, p, message):
     with pytest.raises(RuntimeError, match=message):
-        constructions._route(phi_rows, block, 4)
+        constructions._route(phi_rows, block, p, binary_hamming)
 
 
 def test_ternary_construction_nu1():
