@@ -54,12 +54,13 @@ def _print_report(report: tiling.VerificationReport, fmt: str, audit=None) -> No
     print(f"result: {'tiling' if report.is_tiling else 'not-a-tiling'}")
 
 
+def _route(q: int) -> constructions._Route:  # the code family over Z_q
+    return next(r for r in constructions._ROUTES.values() if r.q == q)
+
+
 def cmd_gen_code(args) -> int:
     try:
-        if args.base == 2:
-            code = codes.binary_hamming(args.t)
-        else:
-            code = codes.ternary_hamming(args.t)
+        code = _route(args.base).hamming(args.t)
     except ValueError as exc:
         return _error(exc, EXIT_USAGE)
     codes.write_code(code, args.out)
@@ -153,7 +154,7 @@ def cmd_exist(args) -> int:
         print(f"witness: construction gives {cert.count_text} "
               f"codewords over Z_{forced}^{n}; window too large to verify here")
         return EXIT_OK
-    route = next(r for r in constructions._ROUTES.values() if r.q == adm.base)
+    route = _route(adm.base)
     witness = constructions._construct(route.hamming(adm.t), route)
     report = tiling.verify(witness, pair_budget=0)
     print(f"witness: {len(witness)} codewords over Z_{witness.p}^{witness.n}, "

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, _at_least, _integer_entries, _WordArray, pairwise_minimum
+from .geometry import Point, _at_least, _integer_entries, _tuples, _WordArray, pairwise_minimum
 from .tiling import window_exceeds
 
 #: largest codeword list we materialize (3^11, the ternary t=3 code size)
@@ -37,7 +38,8 @@ class BlockCode(_WordArray):
 
     ``codewords`` may be any sequence of rows or an integer array; ``words``
     holds them as one sorted, read-only (k, length) uint8 array, and
-    ``codewords`` is its sorted tuple view.
+    ``codewords`` is its sorted tuple view, kept from its first access (a
+    tiling's is not), because :func:`decode_within_1` reads it on every call.
     """
 
     _header = ("q", "length")
@@ -48,6 +50,10 @@ class BlockCode(_WordArray):
         length = _at_least(length, 1, "length")
         self.q, self.length = q, length
         super().__init__(codewords, length, q)
+
+    @cached_property  # rebuilt on each decode, it would cost an n = 26 locate 59,049 tuples
+    def codewords(self) -> tuple[Point, ...]:
+        return _tuples(self.words)
 
 
 def _hamming(q: int, t: int) -> BlockCode:

@@ -4,6 +4,8 @@ The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
 set Upsilon_n: a codeword X covers a cell A exactly when X - A lies in it.
 Only :func:`_offsets` enumerates it; :class:`UpsilonShape` has a tuple view for callers.
+Tuple views (a word array's ``codewords``, a shape's ``offsets``) are built on
+each access, not kept; only a code keeps its ``codewords`` (see :mod:`.codes`).
 
 Points are read as Python ints, so numpy scalar entries never wrap, and every
 distance and cover test is one of three kernels (torus wrap, cross sum, shape
@@ -15,7 +17,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -184,8 +185,9 @@ def _tuples(rows: np.ndarray) -> tuple[Point, ...]:  # rows as tuples of Python 
 class _WordArray:
     """A set of words held as ``words``: one sorted, read-only (k, n) array of the
     smallest unsigned dtype for the alphabet, built by :func:`_sorted_words`.
-    ``codewords`` is the same as a sorted tuple of tuples, built on first access.
-    Equality and hash are on the attributes named in ``_header`` and the words."""
+    ``codewords`` is the same as a sorted tuple of tuples, built on each access, not
+    kept (14 times the array at 12^8).  Equality and hash are on the attributes
+    named in ``_header`` and the words."""
 
     _header: tuple[str, ...]
 
@@ -193,7 +195,7 @@ class _WordArray:
         self.words = _sorted_words(codewords, n, alphabet)
         self.words.flags.writeable = False
 
-    @cached_property
+    @property
     def codewords(self) -> tuple[Point, ...]:
         return _tuples(self.words)
 
@@ -217,21 +219,26 @@ class _WordArray:
 
 
 def index_to_point(idx: int, n: int, p: int) -> Point:
-    """The cell of (Z_p)^n with mixed-radix index idx, coordinate 1 fastest."""
-    idx = _at_least(idx, 0, "index")
+    """The cell of (Z_p)^n with mixed-radix index idx < p^n, coordinate 1 fastest."""
+    rest = idx = _at_least(idx, 0, "index")
     p = _at_least(p, 1, "period")
     coords = []
-    for _ in range(_at_least(n, 1, "dimension")):
-        coords.append(idx % p)
-        idx //= p
+    for _ in range(n := _at_least(n, 1, "dimension")):
+        coords.append(rest % p)
+        rest //= p
+    if rest:  # p^n is not built
+        raise ValueError(f"index {idx} is not below {p}^{n}")
     return tuple(coords)
 
 
 def point_to_index(x: Point, p: int) -> int:
-    """Inverse of :func:`index_to_point` for a cell with entries in 0..p-1."""
+    """Inverse of :func:`index_to_point`; ValueError names an entry outside 0..p-1."""
     p = _at_least(p, 1, "period")
+    x = _integer_entries(x)
+    if bad := [v for v in x if not 0 <= v < p]:
+        raise ValueError(f"point entry {bad[0]} is outside 0..{p - 1}")
     idx = 0
-    for v in reversed(_integer_entries(x)):
+    for v in reversed(x):
         idx = idx * p + v
     return idx
 
@@ -249,9 +256,9 @@ def _offsets(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UpsilonShape:
-    """The half-cross shape of dimension n.  ``offsets``, built on first access, is
-    Upsilon_n (every D = X - A such that a codeword at X covers the cell A) as the
-    lexicographically sorted tuple view of :func:`_offsets`."""
+    """The half-cross shape of dimension n.  ``offsets``, built on each access, not
+    kept, is Upsilon_n (every D = X - A such that a codeword at X covers the cell A)
+    as the lexicographically sorted tuple view of :func:`_offsets`."""
 
     n: int
 
@@ -261,7 +268,7 @@ class UpsilonShape:
     def __len__(self) -> int:
         return 2**self.n * (self.n + 1)
 
-    @cached_property
+    @property
     def offsets(self) -> tuple[Point, ...]:
         rows = _offsets(self.n)
         return _tuples(rows[np.lexsort(rows.T[::-1])])
@@ -272,7 +279,7 @@ class UpsilonShape:
         return set(_tuples(-(_pair(x, (0,) * self.n) + _offsets(self.n)) % p))
 
 
-#: upsilon_offsets(n) is a new n-dimensional half-cross; its offsets are built on first use
+#: upsilon_offsets(n) is a new n-dimensional half-cross; its offsets are built on each use
 upsilon_offsets = UpsilonShape
 
 

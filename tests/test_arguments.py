@@ -93,6 +93,17 @@ SITES = [
 ]
 
 
+#: sites with a range beyond their least value: (value outside it, the message)
+OUTSIDE = {
+    "index_to_point.idx": [(16, "index 16 is not below 4^2"),
+                           (np.int64(17), "index 17 is not below 4^2"),
+                           (2**70, f"index {2**70} is not below 4^2")],
+    "point_to_index": [(4, "point entry 4 is outside 0..3"),
+                       (np.uint8(5), "point entry 5 is outside 0..3"),
+                       (-1, "point entry -1 is outside 0..3")],
+}
+
+
 @pytest.mark.parametrize("site, what, low, call", SITES, ids=[s[0] for s in SITES])
 def test_every_size_argument_refuses_a_non_integer_by_name(site, what, low, call):
     # pytest.raises lets any other exception type through, failing the test
@@ -106,6 +117,9 @@ def test_every_size_argument_refuses_a_non_integer_by_name(site, what, low, call
         for below in (low - 1, np.int64(low - 1)):
             with pytest.raises(ValueError, match=f"^{what} must be >= {low}, got {low - 1}$"):
                 call(below)
+    for outside, message in OUTSIDE.get(site, ()):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(outside)
 
 
 def test_integer_only_arguments_keep_their_own_range_messages():

@@ -56,8 +56,10 @@ def test_offset_entries_shape():
 
 def test_offsets_sorted_unique():
     for n in range(1, 7):
-        offs = upsilon_offsets(n).offsets
+        shape = upsilon_offsets(n)
+        offs = shape.offsets
         assert list(offs) == sorted(set(offs))
+        assert shape.offsets == offs and "offsets" not in vars(shape)  # built, not kept
 
 
 def test_offsets_match_cell_set_definition():

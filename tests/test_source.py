@@ -58,7 +58,8 @@ _TUPLE_VIEW_READERS = {
 
 def test_tuple_view_is_read_only_where_tuples_are_the_result():
     # everything else reads ``words``: the tuple view is a second copy of the
-    # array, built and kept on first access
+    # array, built on each access (a tiling's, not kept) or kept from the first
+    # (a code's, see _KEPT_ATTRIBUTES)
     def reads(name, nodes):
         return {(name, node.lineno) for node in nodes if isinstance(node, ast.Attribute)
                 and node.attr == "codewords" and isinstance(node.ctx, ast.Load)}
@@ -115,6 +116,32 @@ def test_no_library_function_is_memoized():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any(memo(d) for d in node.decorator_list)]
     assert found == []
+
+
+#: the only attributes a library class keeps with functools.cached_property
+_KEPT_ATTRIBUTES = {
+    # decode_within_1 builds set(code.codewords) on every call; were the view
+    # rebuilt too, each n = 26 locate would make 59,049 more tuples
+    ("codes.py", "BlockCode", "codewords"),
+}
+
+
+def test_no_library_attribute_is_kept_beyond_its_reader():
+    # a cached_property keeps its value as long as the object: a 12^8 tiling
+    # whose tuple view was read once grew to 15 times its array
+    def uses(name, nodes):
+        return {(name, node.lineno) for node in nodes
+                if getattr(node, "id", getattr(node, "attr", None)) == "cached_property"}
+
+    found, allowed = set(), set()
+    for name, node in _library_nodes():
+        found |= uses(name, [node])
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:  # a kept attribute is a decorated method
+                if (name, node.name, getattr(stmt, "name", None)) in _KEPT_ATTRIBUTES:
+                    allowed |= uses(name, ast.walk(stmt))
+    assert sorted(found - allowed) == []
+    assert len(allowed) == 1
 
 
 def test_no_integer_entry_check_is_dropped():
