@@ -7,18 +7,24 @@ and shape offset D, the cell (X - D) mod p, and demands that every cell of the
 p^n window is marked exactly once.  The window is sharded by as many trailing
 coordinates as keep each shard's marks within a fixed count (4 MiB of int32),
 decided from the codeword counts before anything is written, so memory stays
-flat however large the window.  A shard's marks are broadcast outer sums of
-per-codeword tables (one entry per coordinate and offset entry), written in
-the row order of ``geometry._offsets`` (which also gives the trailing offsets
-that pick each shard's codewords) into one buffer, sorted once and scanned
-once: adjacent comparisons count the uncovered and multiply covered cells,
-and the first place the sorted marks leave 0, 1, ... names the lowest bad cell.
+flat however large the window: that much per worker thread.  The shards are
+counted on every CPU the process may use, each thread taking the next one,
+and their counts are merged in order.  A shard's marks are broadcast outer
+sums of per-codeword tables (one entry per coordinate and offset entry),
+written in the row order of ``geometry._offsets`` (which also gives the
+trailing offsets that pick each shard's codewords) into one buffer, sorted
+once and scanned once: adjacent comparisons count the uncovered and multiply
+covered cells, and the first place the sorted marks leave 0, 1, ... names the
+lowest bad cell.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations
 from pathlib import Path
@@ -235,20 +241,24 @@ def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
     return pos
 
 
-def _scan(arr: np.ndarray, size: int) -> tuple[int, int, int | None]:
+def _scan(arr: np.ndarray, size: int, flags: np.ndarray) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, lowest bad index or None) of the cells 0..size-1
-    from their sorted marks arr.  A run of repeated marks starts where a repeat
-    follows a step.  With -1 put before the first mark and size after the last,
-    the first step j that is not 1 follows the cells 0..j-1, each marked once:
-    a repeat covers j - 1 twice, a gap leaves j uncovered."""
-    repeat = arr[1:] == arr[:-1]
+    from their sorted marks arr; flags is a (2, arr.size) or larger bool buffer
+    that takes the scan's temporaries.  A run of repeated marks starts where a
+    repeat follows a step.  Below the first repeat r the marks rise by 1 or
+    more, so arr[i] - i never falls there, and the cells 0..j-1 marked once
+    each by arr[i] = i are a prefix found by bisection: j < r leaves cell j
+    uncovered, j = r < arr.size covers r - 1 twice, j = arr.size leaves j."""
+    after = flags[0, : arr.size]  # False, then whether each mark repeats the one before
+    after[:1] = False
+    repeat = np.equal(arr[1:], arr[:-1], out=after[1:])
     repeats = int(np.count_nonzero(repeat))
     if arr.size == size and not repeats:
         return 0, 0, None
-    runs = int(repeat[:1].sum()) + int(np.count_nonzero(repeat[1:] > repeat[:-1]))
-    step = np.diff(arr, prepend=-1, append=size)
-    j = int(np.argmax(step != 1))
-    return size - arr.size + repeats, runs, j - int(step[j] == 0)
+    runs = int(np.count_nonzero(np.greater(after[1:], after[:-1], out=flags[1, : repeat.size])))
+    r = int(repeat.argmax()) + 1 if repeats else arr.size
+    j = bisect.bisect_left(range(r), True, key=lambda i: arr[i] > i)
+    return size - arr.size + repeats, runs, j - (j == r < arr.size)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -271,10 +281,10 @@ def _split(words: np.ndarray, p: int):
     m = n - s leading coordinates: below k 2^20 once a group's own shard
     passes the cap, at most 4k at s = n - 1, and int64 never wraps.
 
-    Returns s, the codeword order, the largest shard's mark count, and the
-    shards holding marks in increasing trailing index, as (trailing index,
-    positions in that order of the codewords the shard takes, how many of
-    them, leading, are taken with arms).
+    Returns s, the codeword order, the largest shard's mark count, the number
+    of shards holding marks, and a generator of those shards in increasing
+    trailing index, as (trailing index, positions in that order of the
+    codewords the shard takes, how many of them, leading, are taken with arms).
     """
     k, n = words.shape
     rev = words[:, ::-1]
@@ -314,35 +324,78 @@ def _split(words: np.ndarray, p: int):
             c = point_to_index(cells[lo, ::-1].tolist(), p)
             yield c, _ranges(starts[g], ends[g]), int(sizes[g[arms[lo:hi]]].sum())
 
-    return s, order, most, shards()
+    return s, order, most, len(first), shards()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, index of the lowest bad cell or None) of the
-    window, one shard at a time in increasing trailing index (see ``verify``)."""
-    s, order, most, shards = _split(words, p)
+    window (see ``verify``).  The shards are counted on one thread per usable
+    CPU, at most one per shard, the caller being one of them: each takes the
+    next shard from ``_split`` under a lock and writes, sorts and scans its
+    marks in buffers the caller allocated for it.  The per-shard results are
+    merged in increasing trailing index.  An exception in any thread is raised
+    here once every thread is joined."""
+    s, order, most, count, shards = _split(words, p)
     m = words.shape[1] - s
     shard_size = p**m
     dtype = np.int32 if shard_size < 2**31 else np.int64
     tables = _mark_tables(words[order, :m], p, dtype)  # every codeword's, in that order
-    buf = np.empty(most, dtype=dtype)
+    workers = max(1, min(_cpus(), count))
+    # a shard takes at most most >> m codewords (each brings 2^m marks or more)
+    picks = m * len(_ENTRIES) * (most >> m)
+    buffers = [(np.empty(most, dtype), np.empty(picks, dtype), np.empty((2, most), bool))
+               for _ in range(workers)]
+    results: list[tuple[int, int, int, int | None]] = []
+    lock, stop, errors = threading.Lock(), threading.Event(), []
+
+    def work(marks: np.ndarray, picked: np.ndarray, flags: np.ndarray) -> None:
+        try:
+            while not stop.is_set():
+                with lock:
+                    shard = next(shards, None)
+                if shard is None:
+                    return
+                c, rows, with_arms = shard
+                t = picked[: m * len(_ENTRIES) * len(rows)].reshape(m, len(_ENTRIES), -1)
+                np.take(tables, rows, axis=2, out=t, mode="clip")  # unbuffered: rows in range
+                pos = _write_marks(t[..., :with_arms], marks, True)
+                pos += _write_marks(t[..., with_arms:], marks[pos:], False)
+                arr = marks[:pos]
+                arr.sort()
+                results.append((c, *_scan(arr, shard_size, flags)))  # needs no lock
+        except Exception as exc:  # raised below once every thread is joined
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=work, args=b) for b in buffers[1:]]
+    for worker in threads:
+        worker.start()
+    try:
+        work(*buffers[0])
+    finally:
+        stop.set()
+        for worker in threads:
+            worker.join()
+    if errors:
+        raise errors[0]
+
     uncovered = multiply = 0
     witness_idx = None
     done = 0  # the shards below this trailing index are counted
-    for c, rows, with_arms in chain(shards, [(p**s, None, 0)]):
+    for c, missing, runs, bad in chain(sorted(results), [(p**s, 0, 0, None)]):
         if c > done:  # no codeword reaches these shards: every cell is uncovered
             uncovered += (c - done) * shard_size
             if witness_idx is None:
                 witness_idx = done * shard_size
-        if rows is None:
-            break
         done = c + 1
-        t = tables[..., rows]
-        pos = _write_marks(t[..., :with_arms], buf, True)
-        pos += _write_marks(t[..., with_arms:], buf[pos:], False)
-        arr = buf[:pos]
-        arr.sort()
-        missing, runs, bad = _scan(arr, shard_size)
         uncovered += missing
         multiply += runs
         if witness_idx is None and bad is not None:
@@ -360,19 +413,21 @@ def verify(
 
     Marks (X - D) mod p for every codeword X and offset D, sharded by the
     cell's last s coordinates, s the fewest that keep every shard within
-    ``_SHARD_MARKS`` marks (see ``_split``); shards run in increasing
-    trailing index, and those no codeword reaches count as uncovered without
-    being written.  A shard's marks are outer sums of small per-codeword
-    tables, one entry per coordinate, since the offsets are exactly the D in
-    {-1,0,1,2}^n with at most one entry in {-1, 2}; they are written into one
-    buffer and sorted once.  One pass of adjacent comparisons over the sorted
-    marks (``_scan``) counts the distinct cells and the cells marked more
-    than once, so exact-once covering (and hence both the packing and
-    covering properties) takes one sort and one scan per shard; the first
-    place the marks leave the range 0, 1, ... names the lowest bad cell.
-    Cell indices are int32 while a shard has fewer than 2^31 cells and int64
-    beyond.  The minimum torus cross distance over codeword pairs is reported
-    when the pair count is within budget.
+    ``_SHARD_MARKS`` marks (see ``_split``).  The shards are counted on every
+    CPU in the process's affinity mask, one thread per CPU but no more threads
+    than shards, so memory stays within ``_SHARD_MARKS`` marks per thread; the
+    counts are merged in increasing trailing index, and shards no codeword
+    reaches count as uncovered without being written.  A shard's marks are
+    outer sums of small per-codeword tables, one entry per coordinate, since
+    the offsets are exactly the D in {-1,0,1,2}^n with at most one entry in
+    {-1, 2}; they are written into one buffer and sorted once.  One pass of
+    adjacent comparisons over the sorted marks (``_scan``) counts the distinct
+    cells and the cells marked more than once, so exact-once covering (and
+    hence both the packing and covering properties) takes one sort and one
+    scan per shard; the first place the marks leave the range 0, 1, ... names
+    the lowest bad cell.  Cell indices are int32 while a shard has fewer than
+    2^31 cells and int64 beyond.  The minimum torus cross distance over
+    codeword pairs is reported when the pair count is within budget.
     """
     n, p = tiling.n, tiling.p
     cell_budget = _at_least(cell_budget, 1, "cell budget")

@@ -816,10 +816,11 @@ def test_point_kernels_match_loop_forms(data):
         assert torus_cross_distance(cell, other, p) == torus_cross_distance_oracle(ints, other, p)
 
 
-def _check_every_split(n, p, words):
+def _check_every_split(n, p, words, workers=3):
     """verify with the shard-mark cap set so that the split takes every s from 0
     to n - 1 (and the cap below every shard, which falls back to n - 1) gives
-    the report of the last-coordinate verifier and the per-cell counter."""
+    the report of the last-coordinate verifier and the per-cell counter, on one
+    worker and, field for field the same, on ``workers`` threads."""
     t = PeriodicTiling(n=n, p=p, codewords=words)
     want = verify_last_coordinate(t)
     uncovered, multiply, witness = verify_oracle(t)
@@ -838,12 +839,14 @@ def _check_every_split(n, p, words):
 
     caps = [*enumerate(shard_marks_oracle(words, n, p)), (n - 1, 0)]
     for s, cap in caps:
-        with mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
-                mock.patch.object(tiling_module, "_split", spy):
-            assert verify(t) == want, (s, cap)
-        # a shard's most marks fall with every coordinate added to s (each
-        # codeword's spread over two values of it), so s is the fewest in cap
-        assert chosen.pop() == (s if words else 0)
+        for cpus in (1, workers):
+            with mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
+                    mock.patch.object(tiling_module, "_split", spy), \
+                    mock.patch.object(tiling_module, "_cpus", return_value=cpus):
+                assert verify(t) == want, (s, cap, cpus)
+            # a shard's most marks fall with every coordinate added to s (each
+            # codeword's spread over two values of it), so s is the fewest in cap
+            assert chosen.pop() == (s if words else 0)
     return want
 
 
@@ -866,6 +869,12 @@ def test_every_shard_split_matches_last_coordinate_and_per_cell(case):
 def test_split_finds_the_first_bad_cell_in_a_later_shard(p, words, cell):
     report = _check_every_split(2, p, words)
     assert report.first_witness[0] == cell
+
+
+def test_split_with_more_workers_than_shards():
+    # one codeword of the 4^2 window reaches one shard at s = 0 and all four
+    # at s = 1, so eight workers exceed the shard count at every split
+    _check_every_split(2, 4, ((1, 2),), workers=8)
 
 
 def test_split_counts_every_group_a_shard_takes():

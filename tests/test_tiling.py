@@ -1,13 +1,17 @@
 """Exact-cover verification, transforms, certificates, audits, file round-trips."""
 
 import itertools
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from halfcross.codes import ternary_hamming
-from halfcross.constructions import from_ternary_perfect
+from halfcross import tiling as tiling_module
+from halfcross.codes import binary_hamming, ternary_hamming
+from halfcross.constructions import from_binary_perfect, from_ternary_perfect
 from halfcross.geometry import _offsets, torus_covers, torus_cross_distance, upsilon_offsets
 from halfcross.tiling import (
     CellBudgetExceeded,
@@ -146,7 +150,8 @@ def test_scan_matches_unique_counts(seed):
         cases.append((near, size))
     for arr, size in cases:
         arr = np.asarray(arr, dtype=np.int32)
-        assert _scan(arr, size) == scan_oracle(arr, size), (arr.tolist(), size)
+        flags = np.empty((2, arr.size), bool)
+        assert _scan(arr, size, flags) == scan_oracle(arr, size), (arr.tolist(), size)
     base = set(LAMBDA2_WORDS)
     for words in (base, base - {(3, 6)}, (base - {(3, 6)}) | {(4, 6)}, base | {(5, 5)}):
         assert_matches_oracle(PeriodicTiling(n=2, p=12, codewords=tuple(sorted(words))))
@@ -231,6 +236,67 @@ def test_verify_int64_shard_indices():
     report = verify(PeriodicTiling(n=n, p=p, codewords=(x,)), cell_budget=p**n)
     assert (report.uncovered, report.multiply_covered) == (p**n - 2**n * (n + 1), 0)
     assert report.first_witness == ((0,) * n, ())
+
+
+@pytest.mark.parametrize("in_caller", [True, False])
+def test_verify_raises_a_worker_error_once_every_thread_is_joined(in_caller):
+    # twelve shards of one last coordinate each, on three threads: the first
+    # shard scanned in the calling thread (or in another) raises, and the
+    # other side waits for that before it scans any
+    scan, raised = tiling_module._scan, threading.Event()
+
+    def failing(*args):
+        if (threading.current_thread() is threading.main_thread()) == in_caller:
+            raised.set()
+            raise ArithmeticError("shard")
+        assert raised.wait(timeout=10)
+        return scan(*args)
+
+    before = threading.active_count()
+    with mock.patch.object(tiling_module, "_cpus", return_value=3), \
+            mock.patch.object(tiling_module, "_SHARD_MARKS", 16), \
+            mock.patch.object(tiling_module, "_scan", failing), \
+            pytest.raises(ArithmeticError, match="shard"):
+        verify(lambda2_tiling())
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "n, p, words, cap, started",
+    [
+        # Lambda_2 at 12^2 is one shard: the caller counts it alone
+        (2, 12, LAMBDA2_WORDS, 1 << 20, 0),
+        # one codeword split by its last coordinate reaches four shards, so
+        # eight CPUs give four workers: the caller and three threads
+        (2, 4, ((1, 2),), 11, 3),
+    ],
+)
+def test_verify_starts_a_thread_per_shard_at_most(n, p, words, cap, started):
+    t = PeriodicTiling(n=n, p=p, codewords=words)
+    with mock.patch.object(tiling_module, "_cpus", return_value=8), \
+            mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
+            mock.patch.object(threading, "Thread", wraps=threading.Thread) as spy:
+        verify(t)
+    assert spy.call_count == started
+
+
+def test_verify_on_more_threads_than_cpus_loses_no_shard():
+    # 4^7 cells in 64-mark shards on eight threads switching every microsecond:
+    # a result lost or a shard counted twice would change the report
+    words = from_binary_perfect(binary_hamming(3)).words
+    t = PeriodicTiling(n=7, p=4, codewords=np.r_[words[1:], [[1, 2, 3, 0, 1, 2, 3]]])
+    with mock.patch.object(tiling_module, "_SHARD_MARKS", 64):
+        with mock.patch.object(tiling_module, "_cpus", return_value=1):
+            want = verify(t)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(tiling_module, "_cpus", return_value=8):
+                reports = [verify(t) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+    assert want.uncovered and want.multiply_covered
+    assert reports == [want] * 5
 
 
 def test_min_cross_distance_needs_two_codewords():
