@@ -9,13 +9,17 @@ coordinates as keep each shard's marks within a fixed count (4 MiB of int32),
 decided from the codeword counts before anything is written, so memory stays
 flat however large the window: that much per worker thread.  The shards are
 counted on every CPU the process may use, each thread taking the next one,
-and their counts are merged in order.  A shard's marks are broadcast outer
-sums of per-codeword tables (one entry per coordinate and offset entry),
-written in the row order of ``geometry._offsets`` (which also gives the
-trailing offsets that pick each shard's codewords) into one buffer, sorted
-once and scanned once: adjacent comparisons count the uncovered and multiply
-covered cells, and the first place the sorted marks leave 0, 1, ... names the
-lowest bad cell.
+and their counts are merged in order.  Both ways of counting a shard read
+per-codeword tables (one entry per coordinate and offset entry).  A shard with
+at least as many marks as cells gets every cell's cover count from a scatter
+of each codeword's signed star and one box pass per coordinate, the shape
+being a box convolved with that star.  Any other shard writes its marks as
+broadcast outer sums, in the row order of ``geometry._offsets`` (which also
+gives the trailing offsets that pick each shard's codewords), into one
+buffer, sorts them once and scans them once: adjacent comparisons count the
+uncovered and multiply covered cells, and the first place the sorted marks
+leave 0, 1, ... names the lowest bad cell.  So a sparse window costs time in
+its marks, not in its cells.
 """
 
 from __future__ import annotations
@@ -261,6 +265,69 @@ def _scan(arr: np.ndarray, size: int, flags: np.ndarray) -> tuple[int, int, int 
     return size - arr.size + repeats, runs, j - (j == r < arr.size)
 
 
+def _dense(cells: int, marks: int) -> bool:
+    """Whether a shard is counted by ``_box_counts`` (O(m cells)) rather than
+    sorted (O(marks log marks)): when it has no more cells than marks, which
+    also keeps its count buffers within its mark buffer."""
+    return cells <= marks
+
+
+def _box_counts(t: np.ndarray, with_arms: int, p: int, points: np.ndarray,
+                counts: np.ndarray) -> tuple[int, int, int | None]:
+    """(uncovered, multiply covered, lowest bad index or None) of a shard's p^m
+    cells, the tuple ``_scan`` returns, from every cell's cover count: no sort.
+
+    t is the shard's gathered (m, 4, k) table, as ``_write_marks`` takes it;
+    its first with_arms codewords are taken with arms, the rest box-only.
+    Since (delta_0 + delta_1) * (delta_-1 - delta_0 + delta_1) = delta_-1 +
+    delta_2, the shape, the box {0,1}^m plus one arm entry in {-1, 2}, is the
+    box convolved with a signed star:
+
+        Upsilon_m = {0,1}^m * (delta_0 + sum_r (delta_-e_r - delta_0 + delta_e_r)).
+
+    X covers the cells X - D, so the counts are m box passes over a scatter
+    of weight 1 - m at X and 1 at X +- e_r (mod p) for each X taken with
+    arms, and 1 at X for each taken box-only, read off t: X = sum_i t[i, 1],
+    X + e_r = X + t[r, 0] - t[r, 1] and X - e_r = X + t[r, 2] - t[r, 1].
+    Pass i sets c'[y] = c[y] + c[y + e_i], wrapping along coordinate i: one
+    flat shifted add, then a fix of the last p^i cells of every
+    p^(i+1)-block; the two rows of ``counts`` alternate.  The weight 1 - m
+    wraps in the unsigned counts, which are exact modulo 2^bits; a cell is
+    covered by at most |Upsilon_n| distinct codewords and by no more than the
+    tiling has, and the caller picks a dtype above both bounds' minimum
+    (uint16 below 2^16), so every count is exact.  points (k + 2m with_arms
+    entries or more) takes the scattered cells, and the row not holding the
+    final counts takes the comparisons.
+    """
+    m, _, k = t.shape
+    x, a = points[:k], with_arms
+    np.add.reduce(t[:, 1], axis=0, out=x)
+    pos = k
+    for r in range(m):
+        plus, minus = points[pos : pos + a], points[pos + a : pos + 2 * a]
+        np.subtract(x[:a], t[r, 1, :a], out=plus)  # X with coordinate r at 0
+        np.add(plus, t[r, 2, :a], out=minus)  # X - e_r
+        plus += t[r, 0, :a]  # X + e_r
+        pos += 2 * a
+    c, spare = counts
+    c.fill(0)
+    np.add.at(c, points[:pos], c.dtype.type(1))  # a typed scalar takes numpy's fast path
+    np.subtract.at(c, x[:a], c.dtype.type(m))
+    for i in range(m):
+        h = p**i
+        np.add(c[:-h], c[h:], out=spare[:-h])
+        blocks = c.reshape(-1, p * h)
+        np.add(blocks[:, -h:], blocks[:, :h], out=spare.reshape(-1, p * h)[:, -h:])
+        c, spare = spare, c
+    once = np.equal(c, 1, out=spare.view(bool)[: c.size])
+    good = int(np.count_nonzero(once))
+    if good == c.size:
+        return 0, 0, None
+    bad = int(once.argmin())
+    uncovered = int(np.count_nonzero(np.equal(c, 0, out=once)))
+    return uncovered, c.size - good - uncovered, bad
+
+
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """lo[0], .., hi[0] - 1, then lo[1], .., hi[1] - 1, and so on."""
     size = hi - lo
@@ -339,24 +406,36 @@ def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, index of the lowest bad cell or None) of the
     window (see ``verify``).  The shards are counted on one thread per usable
     CPU, at most one per shard, the caller being one of them: each takes the
-    next shard from ``_split`` under a lock and writes, sorts and scans its
-    marks in buffers the caller allocated for it.  The per-shard results are
-    merged in increasing trailing index.  An exception in any thread is raised
-    here once every thread is joined."""
+    next shard from ``_split`` under a lock and gathers its codewords' tables.
+    A dense shard (``_dense``) is counted by ``_box_counts``, any other is
+    written, sorted and scanned (``_scan``), in buffers the caller allocated
+    for that thread: marks, gathered tables, flags, and two rows of p^m counts
+    when some shard can be dense.  Counts are uint16 while min(k, |Upsilon_n|)
+    < 2^16, as marks are int32 while p^m < 2^31, decided before any
+    allocation.  The per-shard results are merged in increasing trailing
+    index.  An exception in any thread is raised here once every thread is
+    joined."""
     s, order, most, count, shards = _split(words, p)
-    m = words.shape[1] - s
+    k, n = words.shape
+    m = n - s
     shard_size = p**m
     dtype = np.int32 if shard_size < 2**31 else np.int64
+    # a cell is covered by at most this many codewords (see _box_counts)
+    bound = min(k, 2**n * (n + 1))
+    tally = np.uint16 if bound < 2**16 else np.uint32 if bound < 2**32 else np.uint64
+    cells = shard_size if _dense(shard_size, most) else 0  # no count buffers if none is dense
     tables = _mark_tables(words[order, :m], p, dtype)  # every codeword's, in that order
     workers = max(1, min(_cpus(), count))
     # a shard takes at most most >> m codewords (each brings 2^m marks or more)
     picks = m * len(_ENTRIES) * (most >> m)
-    buffers = [(np.empty(most, dtype), np.empty(picks, dtype), np.empty((2, most), bool))
+    buffers = [(np.empty(most, dtype), np.empty(picks, dtype),
+                np.empty((2, most), bool), np.empty((2, cells), tally))
                for _ in range(workers)]
     results: list[tuple[int, int, int, int | None]] = []
     lock, stop, errors = threading.Lock(), threading.Event(), []
 
-    def work(marks: np.ndarray, picked: np.ndarray, flags: np.ndarray) -> None:
+    def work(marks: np.ndarray, picked: np.ndarray, flags: np.ndarray,
+             counted: np.ndarray) -> None:
         try:
             while not stop.is_set():
                 with lock:
@@ -366,11 +445,15 @@ def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
                 c, rows, with_arms = shard
                 t = picked[: m * len(_ENTRIES) * len(rows)].reshape(m, len(_ENTRIES), -1)
                 np.take(tables, rows, axis=2, out=t, mode="clip")  # unbuffered: rows in range
-                pos = _write_marks(t[..., :with_arms], marks, True)
-                pos += _write_marks(t[..., with_arms:], marks[pos:], False)
-                arr = marks[:pos]
-                arr.sort()
-                results.append((c, *_scan(arr, shard_size, flags)))  # needs no lock
+                if _dense(shard_size, (len(rows) + m * with_arms) << m):
+                    result = _box_counts(t, with_arms, p, marks, counted)
+                else:
+                    pos = _write_marks(t[..., :with_arms], marks, True)
+                    pos += _write_marks(t[..., with_arms:], marks[pos:], False)
+                    arr = marks[:pos]
+                    arr.sort()
+                    result = _scan(arr, shard_size, flags)
+                results.append((c, *result))  # needs no lock
         except Exception as exc:  # raised below once every thread is joined
             errors.append(exc)
             stop.set()
@@ -417,17 +500,21 @@ def verify(
     CPU in the process's affinity mask, one thread per CPU but no more threads
     than shards, so memory stays within ``_SHARD_MARKS`` marks per thread; the
     counts are merged in increasing trailing index, and shards no codeword
-    reaches count as uncovered without being written.  A shard's marks are
-    outer sums of small per-codeword tables, one entry per coordinate, since
-    the offsets are exactly the D in {-1,0,1,2}^n with at most one entry in
-    {-1, 2}; they are written into one buffer and sorted once.  One pass of
-    adjacent comparisons over the sorted marks (``_scan``) counts the distinct
-    cells and the cells marked more than once, so exact-once covering (and
-    hence both the packing and covering properties) takes one sort and one
-    scan per shard; the first place the marks leave the range 0, 1, ... names
-    the lowest bad cell.  Cell indices are int32 while a shard has fewer than
-    2^31 cells and int64 beyond.  The minimum torus cross distance over
-    codeword pairs is reported when the pair count is within budget.
+    reaches count as uncovered without being written.  The offsets are
+    exactly the D in {-1,0,1,2}^n with at most one entry in {-1, 2}, so both
+    ways of counting a shard read small per-codeword tables, one entry per
+    coordinate.  A shard with at least as many marks as cells gets every
+    cell's cover count from a scatter of each codeword's signed star and one
+    box pass per coordinate (``_box_counts``): O(m p^m) sequential work and no
+    sort.  Any other shard, as in a window with few codewords, writes its
+    marks as outer sums of the tables into one buffer, sorts them once, and
+    one pass of adjacent comparisons (``_scan``) counts the distinct cells and
+    the cells marked more than once.  Either way exact-once covering (and
+    hence both the packing and covering properties) is decided per shard, and
+    the lowest cell not covered exactly once is the witness.  Cell indices
+    are int32 while a shard has fewer than 2^31 cells and int64 beyond.  The
+    minimum torus cross distance over codeword pairs is reported when the
+    pair count is within budget.
     """
     n, p = tiling.n, tiling.p
     cell_budget = _at_least(cell_budget, 1, "cell budget")
@@ -471,7 +558,9 @@ def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
     """Translate so that the codeword x0 moves to the origin."""
     if x0 not in tiling:
         raise ValueError(f"{x0} is not a codeword")
-    moved = (tiling.words.astype(np.int64) - np.asarray(x0, dtype=np.int64)) % tiling.p
+    # twice the words' width, int64 at most, holds every difference (p < 2^63)
+    wide = np.dtype(f"i{min(2 * tiling.words.itemsize, 8)}")
+    moved = (tiling.words.astype(wide) - np.asarray(x0, dtype=wide)) % tiling.p
     return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
 
 

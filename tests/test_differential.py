@@ -820,7 +820,9 @@ def _check_every_split(n, p, words, workers=3):
     """verify with the shard-mark cap set so that the split takes every s from 0
     to n - 1 (and the cap below every shard, which falls back to n - 1) gives
     the report of the last-coordinate verifier and the per-cell counter, on one
-    worker and, field for field the same, on ``workers`` threads."""
+    worker and, field for field the same, on ``workers`` threads; and so does
+    every split on one worker with every shard forced onto the box-pass kernel,
+    and again with every shard forced onto the sort and ``_scan``."""
     t = PeriodicTiling(n=n, p=p, codewords=words)
     want = verify_last_coordinate(t)
     uncovered, multiply, witness = verify_oracle(t)
@@ -838,12 +840,15 @@ def _check_every_split(n, p, words, workers=3):
         return plan
 
     caps = [*enumerate(shard_marks_oracle(words, n, p)), (n - 1, 0)]
+    runs = [(1, None), (workers, None), (1, True), (1, False)]
     for s, cap in caps:
-        for cpus in (1, workers):
+        for cpus, dense in runs:
+            kernel = tiling_module._dense if dense is None else lambda *_: dense
             with mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
                     mock.patch.object(tiling_module, "_split", spy), \
-                    mock.patch.object(tiling_module, "_cpus", return_value=cpus):
-                assert verify(t) == want, (s, cap, cpus)
+                    mock.patch.object(tiling_module, "_cpus", return_value=cpus), \
+                    mock.patch.object(tiling_module, "_dense", kernel):
+                assert verify(t) == want, (s, cap, cpus, dense)
             # a shard's most marks fall with every coordinate added to s (each
             # codeword's spread over two values of it), so s is the fewest in cap
             assert chosen.pop() == (s if words else 0)

@@ -82,8 +82,16 @@ def assert_matches_oracle(tiling):
         assert (cell, len(covering)) == witness, tiling
 
 
+def dense_spy():
+    """A spy on the box-pass kernel, which counts a shard in O(cells)."""
+    return mock.patch.object(tiling_module, "_box_counts", wraps=tiling_module._box_counts)
+
+
 def test_verify_lambda2_window():
-    report = verify(lambda2_tiling())
+    # one shard of 144 cells and 144 marks: counted by box passes
+    with dense_spy() as dense:
+        report = verify(lambda2_tiling())
+    assert dense.call_count == 1
     assert report.is_tiling
     assert report.cells_total == 144
     assert report.multiply_covered == 0 and report.uncovered == 0
@@ -218,7 +226,9 @@ def test_verify_witness_past_int32_cell_indices():
     # 4^17 cells in sixteen 4^15-cell shards: the witness index must not wrap at 2^31
     n, p = 17, 4
     t = PeriodicTiling(n=n, p=p, codewords=((0,) * n,))
-    report = verify(t, cell_budget=10**12)
+    with dense_spy() as dense:  # sparse shards are sorted, never counted cell by cell
+        report = verify(t, cell_budget=10**12)
+    assert dense.call_count == 0
     cell, covering = report.first_witness
     assert sum(torus_covers(w, cell, p) for w in t.codewords) != 1
     assert len(covering) != 1
@@ -233,31 +243,44 @@ def test_verify_int64_shard_indices():
     # cells, whose indices (5 * 8^14 and up here) would wrap in int32 and collide
     n, p = 17, 8
     x = (0,) * 14 + (5, 0, 0)
-    report = verify(PeriodicTiling(n=n, p=p, codewords=(x,)), cell_budget=p**n)
+    with dense_spy() as dense:
+        report = verify(PeriodicTiling(n=n, p=p, codewords=(x,)), cell_budget=p**n)
+    assert dense.call_count == 0
     assert (report.uncovered, report.multiply_covered) == (p**n - 2**n * (n + 1), 0)
     assert report.first_witness == ((0,) * n, ())
 
 
 @pytest.mark.parametrize("in_caller", [True, False])
-def test_verify_raises_a_worker_error_once_every_thread_is_joined(in_caller):
-    # twelve shards of one last coordinate each, on three threads: the first
-    # shard scanned in the calling thread (or in another) raises, and the
-    # other side waits for that before it scans any
-    scan, raised = tiling_module._scan, threading.Event()
+@pytest.mark.parametrize(
+    "kernel, words",
+    [
+        # Lambda_2 in twelve shards of one last coordinate each: every shard
+        # holds as many marks as cells, so each is counted by box passes
+        ("_box_counts", LAMBDA2_WORDS),
+        # two codewords bring at most 4 marks to each of eight 12-cell shards,
+        # so each is sorted and scanned
+        ("_scan", LAMBDA2_WORDS[:2]),
+    ],
+    ids=["box", "scan"],
+)
+def test_verify_raises_a_worker_error_once_every_thread_is_joined(kernel, words, in_caller):
+    # on three threads, the first shard counted in the calling thread (or in
+    # another) raises, and the other side waits for that before it counts any
+    count, raised = getattr(tiling_module, kernel), threading.Event()
 
     def failing(*args):
         if (threading.current_thread() is threading.main_thread()) == in_caller:
             raised.set()
             raise ArithmeticError("shard")
         assert raised.wait(timeout=10)
-        return scan(*args)
+        return count(*args)
 
     before = threading.active_count()
     with mock.patch.object(tiling_module, "_cpus", return_value=3), \
             mock.patch.object(tiling_module, "_SHARD_MARKS", 16), \
-            mock.patch.object(tiling_module, "_scan", failing), \
+            mock.patch.object(tiling_module, kernel, failing), \
             pytest.raises(ArithmeticError, match="shard"):
-        verify(lambda2_tiling())
+        verify(PeriodicTiling(n=2, p=12, codewords=words))
     assert threading.active_count() == before
 
 
@@ -309,7 +332,9 @@ def test_verify_min_distance_exact_past_int64():
     # each coordinate adds floor(p/2) - 1, and three such terms pass 2^63
     p = 2**63 - 25
     x, y = (0, 0, 0), (p // 2,) * 3
-    report = verify(PeriodicTiling(n=3, p=p, codewords=[x, y]), cell_budget=p**3)
+    with dense_spy() as dense:
+        report = verify(PeriodicTiling(n=3, p=p, codewords=[x, y]), cell_budget=p**3)
+    assert dense.call_count == 0
     assert report.min_cross_distance == torus_cross_distance(x, y, p) == 13835058055282163670
 
 
@@ -348,6 +373,16 @@ def test_normalize_translates_to_origin():
     assert verify(t).is_tiling
     with pytest.raises(ValueError):
         normalize(lambda2_tiling(), (1, 1))
+
+
+@pytest.mark.parametrize("p", [256, 257, 2**16 + 1, 2**32 + 15, 2**63 - 25])
+def test_normalize_exact_in_every_word_dtype(p):
+    # words of uint8, uint16, uint32 and uint64: every difference is taken exactly
+    words = [(0, p - 1, 1), (p - 1, 0, p // 2), (p // 2, p // 3, p - 2)]
+    t = PeriodicTiling(n=3, p=p, codewords=words)
+    for x0 in words:
+        want = sorted(tuple((v - x) % p for v, x in zip(w, x0)) for w in words)
+        assert normalize(t, x0).codewords == tuple(want)
 
 
 def test_permute_and_reflect_preserve_tiling():
