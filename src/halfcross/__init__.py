@@ -5,10 +5,6 @@ from .geometry import (
     UpsilonShape,
     covers,
     cross_distance,
-    cross_weight,
-    hamming_distance,
-    manhattan_distance,
-    torus_cross_distance,
     upsilon_offsets,
 )
 from ._fileformat import FormatError
@@ -29,10 +25,8 @@ from .lattice import (
     contains,
     is_lattice_tiling,
     lambda_lattice,
-    read_lattice,
     volume,
     window,
-    write_lattice,
 )
 from .tiling import (
     AuditReport,
@@ -43,9 +37,7 @@ from .tiling import (
     is_periodic_with,
     nonexistence_certificate,
     normalize,
-    permute,
     read_tiling,
-    reflect,
     spencer_bound,
     structural_audit,
     verify,
@@ -61,6 +53,6 @@ from .constructions import (
     punctured_construction,
     to_binary_perfect,
 )
-from .search import SearchConfig, divisibility_precheck, search_tilings
+from .search import SearchConfig, search_tilings
 
 __version__ = "0.1.0"

@@ -1,18 +1,16 @@
-"""The line-oriented ASCII v1 format shared by CODE, TILING and LATTICE files.
+"""The line-oriented ASCII v1 format shared by CODE and TILING files.
 
 A file is a magic line (``TILING v1``), one ``key value`` line per header key
 in a fixed order, then exactly as many rows of space-separated integers as
 the last header key says.  Readers are strict: every key must be named,
-the row count must match, and nothing may follow the last row.  CODE and
-TILING bodies are written as whole arrays; every body is parsed as one int64
-array wherever numpy reads it exactly as int() would.  LATTICE rows, whose
-entries may be negative or past int64, are written row by row and read back
-as Python ints.
+the row count must match, and nothing may follow the last row.  Bodies are
+written as whole non-negative integer arrays and parsed as one int64 array
+wherever numpy reads them exactly as int() would, row by row otherwise.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +24,11 @@ class FormatError(ValueError):
     """A v1 file failed to parse."""
 
 
-def write(
-    path: str | Path, magic: str, header: dict[str, int], rows: Iterable[Sequence[int]]
-) -> None:
-    """Write the magic line, the header in dict order, then one line per row
-    (``rows`` may be a non-negative integer array, formatted at once)."""
+def write(path: str | Path, magic: str, header: dict[str, int], rows: np.ndarray) -> None:
+    """Write the magic line, the header in dict order, then one line per row of the
+    non-negative integer array ``rows``, formatted at once."""
     head = "".join(f"{line}\n" for line in (magic, *(f"{k} {v}" for k, v in header.items())))
-    body = (_format_array(rows) if isinstance(rows, np.ndarray)
-            else "".join(" ".join(map(str, row)) + "\n" for row in rows).encode("ascii"))
-    Path(path).write_bytes(head.encode("ascii") + body)
+    Path(path).write_bytes(head.encode("ascii") + _format_array(rows))
 
 
 def _format_array(rows: np.ndarray) -> bytes:

@@ -1,4 +1,4 @@
-"""Points, the three distances, argument checks, sorted word arrays, the half-cross offsets.
+"""Points, the cross distance, argument checks, sorted word arrays, the half-cross offsets.
 
 The shape of interest is the (0.5, n)-cross scaled by two: a discrete body of
 2^n(n+1) unit cells.  We represent it purely by its codeword-relative offset
@@ -7,9 +7,10 @@ Only :func:`_offsets` enumerates it; :class:`UpsilonShape` has a tuple view for 
 Tuple views (a word array's ``codewords``, a shape's ``offsets``) are built on
 each access, not kept; only a code keeps its ``codewords`` (see :mod:`.codes`).
 
-Points are read as Python ints, so numpy scalar entries never wrap, and every
-distance and cover test is one of three kernels (torus wrap, cross sum, shape
-test) on the difference array of :func:`_pair`.
+Points are read as Python ints, so numpy scalar entries never wrap.  Three
+kernels state each formula once: the torus wrap (which the verifier's minimum
+cross distance reads), the cross sum and the shape test; the cross distance and
+every cover test apply them to the difference array of :func:`_pair`.
 """
 
 from __future__ import annotations
@@ -73,16 +74,6 @@ def _in_shape(d):
     return ((d >= -1) & (d <= 2)).all(axis=-1) & (arm.sum(axis=-1) <= 1)
 
 
-def hamming_distance(x: Point, y: Point) -> int:
-    """Number of positions where x and y differ."""
-    return int((_pair(x, y) != 0).sum())
-
-
-def manhattan_distance(x: Point, y: Point) -> int:
-    """Sum of absolute coordinate differences."""
-    return abs(_pair(x, y)).sum()
-
-
 def cross_distance(x: Point, y: Point) -> int:
     """Sum over coordinates of max(0, |y_i - x_i| - 1).
 
@@ -90,21 +81,6 @@ def cross_distance(x: Point, y: Point) -> int:
     translates at X and Y are disjoint exactly when this is >= 3.
     """
     return _cross_sum(_pair(x, y))
-
-
-def cross_weight(x: Point) -> int:
-    """Cross distance from x to the origin."""
-    return cross_distance((0,) * len(x), x)
-
-
-def torus_cross_distance(x: Point, y: Point, p: int) -> int:
-    """Cross distance on the torus (Z_p)^n, minimizing each |y_i - x_i| over wraps.
-
-    Valid coordinate-by-coordinate because the cross distance is separable.
-    Periods below 4 are rejected: the shape has extent 4 per axis and would
-    self-overlap.
-    """
-    return _cross_sum(_wrap(_pair(x, y), _at_least(p, 4, "period")))
 
 
 def pairwise_minimum(

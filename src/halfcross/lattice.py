@@ -12,19 +12,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import prod
-from pathlib import Path
 
 import numpy as np
 
-from . import _fileformat
 from .geometry import Point, _at_least, _integer_entries
 
 #: is_lattice_tiling reduces the codewords this many rows at a time
 _BLOCK = 4096
-
-
-class LatticeFormatError(_fileformat.FormatError):
-    """A LATTICE v1 file failed to parse."""
 
 
 @dataclass(frozen=True)
@@ -185,15 +179,3 @@ def is_lattice_tiling(tiling) -> bool:
         )
     return True
 
-
-def write_lattice(lattice: IntegerLattice, path: str | Path) -> None:
-    """Write a LATTICE v1 file."""
-    _fileformat.write(path, "LATTICE v1", {"n": lattice.n}, lattice.generator)
-
-
-def read_lattice(path: str | Path) -> IntegerLattice:
-    """Parse a LATTICE v1 file; IntegerLattice holds the rows as Python ints."""
-    return _fileformat.read(
-        path, "LATTICE v1", ("n",), LatticeFormatError,
-        lambda n, rows: IntegerLattice(n=n, generator=tuple(map(tuple, rows))),
-    )

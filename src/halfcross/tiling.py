@@ -1,4 +1,4 @@
-"""Periodic tilings, the exact-cover verifier, symmetry transforms, and audits.
+"""Periodic tilings, the exact-cover verifier, normalization, and audits.
 
 A periodic tiling with period p is stored by its window codewords in
 {0,..,p-1}^n: one sorted array, whose rows are sorted, deduplicated and looked
@@ -40,7 +40,6 @@ from .geometry import (
     Point,
     _at_least,
     _cross_sum,
-    _integer_entries,
     _offsets,
     _row_keys,
     _WordArray,
@@ -561,23 +560,6 @@ def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
     # twice the words' width, int64 at most, holds every difference (p < 2^63)
     wide = np.dtype(f"i{min(2 * tiling.words.itemsize, 8)}")
     moved = (tiling.words.astype(wide) - np.asarray(x0, dtype=wide)) % tiling.p
-    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
-
-
-def permute(tiling: PeriodicTiling, sigma: tuple[int, ...]) -> PeriodicTiling:
-    """Apply a coordinate permutation: coordinate i takes the old sigma[i]-th value."""
-    order = list(_integer_entries(sigma, "permutation entry"))
-    if sorted(order) != list(range(tiling.n)):
-        raise ValueError(f"{sigma} is not a permutation of 0..{tiling.n - 1}")
-    return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=tiling.words[:, order])
-
-
-def reflect(tiling: PeriodicTiling, signs: Point) -> PeriodicTiling:
-    """Negate (mod p) every coordinate whose sign entry is -1."""
-    signs = _integer_entries(signs, "sign entry")
-    if len(signs) != tiling.n or any(a not in (-1, 1) for a in signs):
-        raise ValueError("signs must be a length-n vector over {-1, 1}")
-    moved = tiling.words.astype(np.int64) * np.asarray(signs) % tiling.p
     return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
 
 

@@ -14,13 +14,9 @@ from halfcross.geometry import (
     UpsilonShape,
     covers,
     cross_distance,
-    cross_weight,
-    hamming_distance,
     index_to_point,
-    manhattan_distance,
     point_to_index,
     torus_covers,
-    torus_cross_distance,
     upsilon_offsets,
 )
 from halfcross.lattice import IntegerLattice, contains, lambda_lattice, window, window_array
@@ -30,8 +26,6 @@ from halfcross.tiling import (
     admissible_dimension,
     is_periodic_with,
     nonexistence_certificate,
-    permute,
-    reflect,
     verify,
     write_tiling,
 )
@@ -44,7 +38,6 @@ def _unit():
 
 #: (site, the name its messages use, the least value allowed or None, call)
 SITES = [
-    ("torus_cross_distance", "period", 4, lambda v: torus_cross_distance((0,), (2,), v)),
     ("torus_cells", "period", 4, lambda v: upsilon_offsets(1).torus_cells((0,), v)),
     ("torus_covers", "period", 4, lambda v: torus_covers((0,), (0,), v)),
     ("UpsilonShape", "dimension", 1, lambda v: UpsilonShape(n=v)),
@@ -76,11 +69,6 @@ SITES = [
     ("torus_covers.a", "point entry", None, lambda v: torus_covers((0, 0), (0, v), 4)),
     ("torus_cells.x", "point entry", None, lambda v: upsilon_offsets(2).torus_cells((v, 0), 4)),
     ("contains", "point entry", None, lambda v: contains(lambda_lattice(1), (v, 2))),
-    ("cross_weight", "point entry", None, lambda v: cross_weight((v, 3))),
-    ("permute", "permutation entry", None,
-     lambda v: permute(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 0))),
-    ("reflect", "sign entry", None,
-     lambda v: reflect(PeriodicTiling(n=2, p=4, codewords=[(0, 1)]), (v, 1))),
     ("index_to_point.idx", "index", 0, lambda v: index_to_point(v, 2, 4)),
     ("index_to_point.n", "dimension", 1, lambda v: index_to_point(0, v, 4)),
     ("index_to_point.p", "period", 1, lambda v: index_to_point(0, 2, v)),
@@ -176,11 +164,7 @@ def _outcome(call, *args):
 
 #: every function that takes points, as a call of two points
 _POINT_CALLS = [
-    hamming_distance,
-    manhattan_distance,
     cross_distance,
-    lambda x, y: cross_weight(x),
-    lambda x, y: torus_cross_distance(x, y, 12),
     covers,
     lambda x, y: covers(y, x),
     lambda x, y: torus_covers(x, y, 12),
@@ -208,8 +192,6 @@ def test_numpy_scalar_points_are_worked_as_python_ints():
             assert _outcome(call, x, y) == _outcome(call, *ints), (i, x, y)
     # the cases that wrapped or overflowed in the point's own dtype
     assert cross_distance((u8(3),), (u8(0),)) == 2
-    assert manhattan_distance((u8(0),), (u8(3),)) == 3
-    assert torus_cross_distance((u8(3),), (u8(0),), 12) == 2
     assert covers((u8(0), u8(0)), (u8(1), u8(0)))
     assert _as_ints(point_to_index((u8(200), u8(200)), 256)) == (int, 51400)
     for locate, code, n in ((locate_tile_binary, binary_hamming(3), 7),

@@ -39,7 +39,6 @@ from halfcross.geometry import (
     pairwise_minimum,
     point_to_index,
     torus_covers,
-    torus_cross_distance,
     upsilon_offsets,
 )
 from halfcross.lattice import (
@@ -62,10 +61,8 @@ from halfcross.tiling import (
     _write_marks,
     is_periodic_with,
     normalize,
-    permute,
     read_tiling,
     power_text,
-    reflect,
     structural_audit,
     verify,
     window_exceeds,
@@ -124,16 +121,6 @@ def normalize_oracle(words, p, x0):
     if x0 not in set(words):
         raise ValueError(f"{x0} is not a codeword")
     return tuple(sorted(tuple((v - u) % p for v, u in zip(w, x0)) for w in words))
-
-
-def permute_oracle(words, sigma):
-    return tuple(sorted(tuple(w[s] for s in sigma) for w in words))
-
-
-def reflect_oracle(words, p, signs):
-    return tuple(sorted(
-        tuple(v if a == 1 else (-v) % p for v, a in zip(w, signs)) for w in words
-    ))
 
 
 #: sorted marks are scanned (counts and witness) in slices this long
@@ -713,10 +700,6 @@ def test_transforms_match_oracle(case, data):
     got = _outcome(lambda: normalize(t, x0).codewords)
     assert got == _outcome(normalize_oracle, words, p, x0)
     assert (x0 in t) == (x0 in set(words))
-    sigma = tuple(data.draw(st.permutations(range(n))))
-    assert permute(t, sigma).codewords == permute_oracle(words, sigma)
-    signs = tuple(data.draw(st.sampled_from([-1, 1])) for _ in range(n))
-    assert reflect(t, signs).codewords == reflect_oracle(words, p, signs)
     for p2 in (d for d in range(1, p + 1) if p % d == 0):
         assert is_periodic_with(t, p2) == periodic_oracle(words, n, p, p2), p2
 
@@ -803,7 +786,6 @@ def test_point_kernels_match_loop_forms(data):
         assert covers(x, other) == covers_oracle(x, other)
         assert covers(other, x) == covers_oracle(other, x)
         assert cross_distance(x, other) == cross_distance_oracle(x, other)
-        assert torus_cross_distance(x, other, p) == torus_cross_distance_oracle(x, other, p)
         want = torus_covers_oracle(x, other, p)
         assert torus_covers(x, other, p) == want
         # a codeword array in the window, as verify's witness passes it
@@ -813,7 +795,6 @@ def test_point_kernels_match_loop_forms(data):
         cell, ints = tuple(words[0]), tuple(v % p for v in x)
         assert covers(cell, other) == covers_oracle(ints, other)
         assert cross_distance(cell, other) == cross_distance_oracle(ints, other)
-        assert torus_cross_distance(cell, other, p) == torus_cross_distance_oracle(ints, other, p)
 
 
 def _check_every_split(n, p, words, workers=3):

@@ -1,4 +1,4 @@
-"""Exact lattice arithmetic, the ternary-construction lattice, file round-trips."""
+"""Exact lattice arithmetic and the ternary-construction lattice."""
 
 import itertools
 import random
@@ -9,14 +9,11 @@ import pytest
 from halfcross import lattice
 from halfcross.lattice import (
     IntegerLattice,
-    LatticeFormatError,
     contains,
     is_lattice_tiling,
     lambda_lattice,
-    read_lattice,
     volume,
     window,
-    write_lattice,
 )
 from halfcross.tiling import PeriodicTiling
 
@@ -193,28 +190,6 @@ def test_is_lattice_tiling_rejects_subgroup_of_wrong_size():
         is_lattice_tiling(PeriodicTiling(n=1, p=4, codewords=((0,), (2,))))
 
 
-def test_lattice_file_round_trip(tmp_path):
-    lat = lambda_lattice(2)
-    path = tmp_path / "l2.lattice"
-    write_lattice(lat, path)
-    back = read_lattice(path)
-    assert back == lat
-    want = "LATTICE v1\nn 4\n3 2 0 0\n0 4 0 0\n0 0 3 2\n0 0 0 4\n"
-    assert path.read_text(encoding="ascii") == want
-
-
-def test_lattice_file_rows_read_back_as_python_ints(tmp_path):
-    # entries within int64 parse as one int64 array, and those past it row by
-    # row; either way the determinant must not wrap in fixed-width products
-    path = tmp_path / "big.lattice"
-    for big, det in ((2**40, 2**80 - 1), (2**70, 2**140 - 1)):
-        path.write_text(f"LATTICE v1\nn 2\n{big} 1\n1 {big}\n", encoding="ascii")
-        back = read_lattice(path)
-        assert back == IntegerLattice(n=2, generator=((big, 1), (1, big)))
-        assert {type(v) for row in back.generator for v in row} == {int}
-        assert volume(back) == det
-
-
 def test_lattice_holds_numpy_generators_as_python_ints():
     # int64 entries would wrap in the HNF's products; the determinant is 2^80 - 1
     g = np.array([[2**40, 1], [1, 2**40]])
@@ -231,23 +206,6 @@ def test_lattice_refuses_non_integer_entries():
                       (((2, "x"), (1, 2)), "x")):
         with pytest.raises(ValueError, match=f"^generator entry {name} is not an integer$"):
             IntegerLattice(n=len(gen), generator=gen)
-
-
-def test_lattice_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.lattice"
-    path.write_text("LATTICE v1\nn 2\n1 2\n2 4\n")
-    with pytest.raises(LatticeFormatError):
-        read_lattice(path)  # dependent rows
-    for text in (
-        "nope\n",
-        "LATTICE v1\nn 1\n4\n4\n",  # trailing line
-        "LATTICE v1\n1\n4\n",  # header value without its key
-        "LATTICE v1\nn 0\n",
-        "LATTICE v1\nn 1\n4\u00e9\n",  # not ASCII
-    ):
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(LatticeFormatError):
-            read_lattice(path)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 4096])

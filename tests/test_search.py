@@ -2,11 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from halfcross.lattice import is_lattice_tiling
 from halfcross.search import SearchConfig, divisibility_precheck, search_tilings
-from halfcross.tiling import normalize, permute, reflect, verify
+from halfcross.tiling import PeriodicTiling, normalize, verify
 
 LAMBDA2_WORDS = (
     (0, 0), (0, 4), (0, 8), (3, 2), (3, 6), (3, 10),
@@ -72,12 +73,12 @@ def test_search_solution_equivalent_to_lattice_window():
     # any found solution matches the lattice window under translate /
     # coordinate swap / reflection
     sols, _ = search_tilings(SearchConfig(n=2, p=12, max_solutions=1))
-    found = sols[0]
+    words = sols[0].words.astype(np.int64)
     target = set(LAMBDA2_WORDS)
     matches = []
     for sigma in ((0, 1), (1, 0)):
         for signs in itertools.product((-1, 1), repeat=2):
-            base = reflect(permute(found, sigma), signs)
+            base = PeriodicTiling(n=2, p=12, codewords=words[:, sigma] * np.array(signs) % 12)
             for w in base.codewords:
                 cand = normalize(base, w)
                 if cand.codeword_set() == target:

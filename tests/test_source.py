@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import types
 from pathlib import Path
 
 import halfcross
@@ -151,3 +152,26 @@ def test_no_integer_entry_check_is_dropped():
              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
              and getattr(node.value.func, "id", None) == "_integer_entries"]
     assert found == []
+
+
+#: every public name of the package, modules aside: a new export is a change here
+EXPORTS = [
+    "AuditReport", "BlockCode", "FormatError", "IntegerLattice", "NonexistenceCertificate",
+    "PeriodicTiling", "Point", "SearchConfig", "UpsilonShape", "VerificationReport",
+    "admissible_dimension", "binary_hamming", "contains", "covers", "cross_distance",
+    "decode_within_1", "from_binary_perfect", "from_ternary_perfect", "is_lattice_tiling",
+    "is_perfect", "is_periodic_with", "lambda_lattice", "locate_tile_binary",
+    "locate_tile_ternary", "min_hamming_distance", "nonexistence_certificate", "normalize",
+    "phi", "psi", "puncture", "punctured_construction", "read_code", "read_tiling",
+    "search_tilings", "spencer_bound", "structural_audit", "ternary_hamming",
+    "to_binary_perfect", "upsilon_offsets", "verify", "volume", "weight_split", "window",
+    "write_code", "write_tiling",
+]
+
+
+def test_exported_names_are_pinned():
+    # a name stays exported only while the CLI, an acceptance criterion, the
+    # benchmark or another library module reaches it
+    names = sorted(name for name, value in vars(halfcross).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == EXPORTS

@@ -1,4 +1,4 @@
-"""Exact-cover verification, transforms, certificates, audits, file round-trips."""
+"""Exact-cover verification, normalization, certificates, audits, file round-trips."""
 
 import itertools
 import sys
@@ -12,7 +12,7 @@ import pytest
 from halfcross import tiling as tiling_module
 from halfcross.codes import binary_hamming, ternary_hamming
 from halfcross.constructions import from_binary_perfect, from_ternary_perfect
-from halfcross.geometry import _offsets, torus_covers, torus_cross_distance, upsilon_offsets
+from halfcross.geometry import _offsets, torus_covers, upsilon_offsets
 from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
@@ -25,9 +25,7 @@ from halfcross.tiling import (
     is_periodic_with,
     nonexistence_certificate,
     normalize,
-    permute,
     read_tiling,
-    reflect,
     spencer_bound,
     structural_audit,
     verify,
@@ -335,7 +333,7 @@ def test_verify_min_distance_exact_past_int64():
     with dense_spy() as dense:
         report = verify(PeriodicTiling(n=3, p=p, codewords=[x, y]), cell_budget=p**3)
     assert dense.call_count == 0
-    assert report.min_cross_distance == torus_cross_distance(x, y, p) == 13835058055282163670
+    assert report.min_cross_distance == 3 * (p // 2 - 1) == 13835058055282163670
 
 
 def test_verify_min_distance_skipped_over_pair_budget():
@@ -386,20 +384,13 @@ def test_normalize_exact_in_every_word_dtype(p):
 
 
 def test_permute_and_reflect_preserve_tiling():
-    t = lambda2_tiling()
-    assert verify(permute(t, (1, 0))).is_tiling
-    assert verify(reflect(t, (-1, 1))).is_tiling
-    assert verify(reflect(permute(t, (1, 0)), (-1, -1))).is_tiling
-    with pytest.raises(ValueError):
-        permute(t, (0, 0))
-    with pytest.raises(ValueError):
-        reflect(t, (2, 1))
-
-
-def test_permute_composition_convention():
-    t = PeriodicTiling(n=3, p=4, codewords=((0, 1, 2),))
-    # coordinate i of the image takes the old sigma[i]-th value
-    assert permute(t, (2, 0, 1)).codewords == ((2, 0, 1),)
+    # swapping coordinates maps the shape onto itself and negating one onto a
+    # translate (Upsilon_n = 1 - Upsilon_n), so the image of a tiling is a tiling
+    words = lambda2_tiling().words.astype(np.int64)
+    for sigma in ((0, 1), (1, 0)):
+        for signs in itertools.product((-1, 1), repeat=2):
+            moved = words[:, sigma] * np.array(signs) % 12
+            assert verify(PeriodicTiling(n=2, p=12, codewords=moved)).is_tiling
 
 
 def test_is_periodic_with():
