@@ -22,11 +22,9 @@ from .codes import (
 )
 from .lattice import (
     IntegerLattice,
-    contains,
     is_lattice_tiling,
     lambda_lattice,
     volume,
-    window,
 )
 from .tiling import (
     AuditReport,
@@ -48,8 +46,6 @@ from .constructions import (
     from_ternary_perfect,
     locate_tile_binary,
     locate_tile_ternary,
-    phi,
-    psi,
     punctured_construction,
     to_binary_perfect,
 )

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _fileformat
-from .geometry import Point, _at_least, _integer_entries, _tuples, _WordArray, pairwise_minimum
+from .geometry import (Point, _at_least, _first_repeat, _integer_entries, _tuples, _WordArray,
+                       pairwise_minimum)
 from .tiling import window_exceeds
 
 #: largest codeword list we materialize (3^11, the ternary t=3 code size)
@@ -138,12 +139,9 @@ def is_perfect(code: BlockCode) -> tuple[bool, str]:
     centre = words @ weights
     moved = centre[:, None, None] + (other - words[:, :, None]) * weights[:, None]
     keys = np.concatenate([centre[:, None], moved.reshape(len(words), -1)], axis=1).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    repeat = ranked[1:] == ranked[:-1]
-    if repeat.any():
-        # a stable sort puts each key's first occurrence first among its equals
-        first = int(keys[order[1:][repeat].min()])
+    _, repeat = _first_repeat(keys)
+    if repeat is not None:
+        first = int(keys[repeat])
         return False, f"spheres overlap at {tuple(first // int(w) % q for w in weights)}"
     return True, "perfect: sphere packing covers all words exactly once"
 

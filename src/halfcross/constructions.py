@@ -25,12 +25,8 @@ import numpy as np
 
 from . import lattice as lat
 from .codes import BlockCode, binary_hamming, decode_within_1, is_perfect, ternary_hamming
-from .geometry import (Point, _at_least, _integer_entries, _offsets, covers, index_to_point,
-                       point_to_index)
+from .geometry import Point, _integer_entries, _offsets, covers, index_to_point
 from .tiling import PeriodicTiling
-
-# pair representative of each ternary symbol
-PHI = {0: (0, 0), 1: (1, 2), 2: (2, 0)}
 
 
 class _Route(NamedTuple):
@@ -69,24 +65,9 @@ def _route(phi_rows: tuple[Point, ...], block: tuple[Point, ...], p: int, hammin
 
 
 _BINARY = _route(((0,), (2,)), ((4,),), 4, binary_hamming)
-_TERNARY = _route(tuple(PHI.values()), lat.lambda_lattice(1).generator, 12, ternary_hamming)
+_TERNARY = _route(((0, 0), (1, 2), (2, 0)), lat.lambda_lattice(1).generator, 12, ternary_hamming)
 #: each code family's route, by the name of its tiling method
 _ROUTES = {"binary": _BINARY, "ternary": _TERNARY}
-
-
-def phi(symbol: int) -> tuple[int, int]:
-    """Pair representative of a ternary symbol."""
-    if (symbol := _at_least(symbol, -np.inf, "symbol")) not in PHI:
-        raise ValueError(f"symbol must be in 0..2, got {symbol}")
-    return PHI[symbol]
-
-
-def psi(pair: tuple[int, int]) -> int:
-    """Class index (0, 1, or 2) of a pair from {0,1,2} x {0,1,2,3}."""
-    entries = _integer_entries(pair, "pair entry") if np.iterable(pair) else ()
-    if len(entries) != 2 or entries[0] not in range(3) or entries[1] not in range(4):
-        raise ValueError(f"pair must lie in Z~3 x Z~4, got {pair}")
-    return int(_TERNARY.psi[point_to_index(entries, _TERNARY.p)])
 
 
 def _require_alphabet(code: BlockCode, q: int) -> None:

@@ -8,9 +8,9 @@ Tuple views (a word array's ``codewords``, a shape's ``offsets``) are built on
 each access, not kept; only a code keeps its ``codewords`` (see :mod:`.codes`).
 
 Points are read as Python ints, so numpy scalar entries never wrap.  Three
-kernels state each formula once: the torus wrap (which the verifier's minimum
-cross distance reads), the cross sum and the shape test; the cross distance and
-every cover test apply them to the difference array of :func:`_pair`.
+kernels state each formula once: the torus wrap, the cross sum and the shape
+test; the cross distance and :func:`covers` apply them to the difference array
+of :func:`_pair`, the verifier's minimum cross distance and witness to arrays.
 """
 
 from __future__ import annotations
@@ -114,6 +114,16 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
     return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
 
 
+def _first_repeat(keys: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """A stable argsort of keys, and the first position, in the given order, whose key
+    equals an earlier one (None if none does): a stable sort puts each key's first
+    occurrence first among its equals."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeat = ranked[1:] == ranked[:-1]
+    return order, int(order[1:][repeat].min()) if repeat.any() else None
+
+
 def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
     """The codewords as a sorted array; ValueError names the first codeword, in the
     given order, of the wrong length, with an entry that is not an integer, outside
@@ -142,12 +152,9 @@ def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
         bad = fraction | ((codewords < 0) | (codewords >= p)).any(axis=1)
     end = int(np.argmax(bad)) if bad.any() else len(codewords)
     words = codewords[:end].astype(np.min_scalar_type(p - 1))
-    keys = _row_keys(words)
-    order = np.argsort(keys, kind="stable")
-    repeat = keys[order[1:]] == keys[order[:-1]]
-    if repeat.any():
-        w = words[order[1:][repeat].min()]
-        raise ValueError(f"duplicate codeword {tuple(map(int, w))}")
+    order, repeat = _first_repeat(_row_keys(words))
+    if repeat is not None:
+        raise ValueError(f"duplicate codeword {tuple(map(int, words[repeat]))}")
     if end < len(codewords):
         why = "has a non-integer entry" if fraction[end] else f"outside window of period {p}"
         raise ValueError(f"codeword {tuple(codewords[end].tolist())} {why}")
@@ -263,20 +270,3 @@ def covers(x: Point, a: Point) -> bool:
     """True iff the codeword x covers the cell a, that is x - a lies in Upsilon_n:
     every x_i in {a_i-1, .., a_i+2} and at most one i with x_i in {a_i-1, a_i+2}."""
     return bool(_in_shape(-_pair(x, a)))
-
-
-def torus_covers(x, a: Point, p: int):
-    """:func:`covers` on the torus (Z_p)^n, p >= 4, exact for points with integer entries
-    of any size; x may also be a (k, n) integer array of codewords, answered row by row."""
-    if np.shape(x)[-1] != len(a):
-        raise DimensionMismatch(f"length {np.shape(x)[-1]} vs {len(a)}")
-    # the shape test on (x - a + 1) mod p - 1, the representative of x - a in -1..p-2
-    if not (isinstance(x, np.ndarray) and x.dtype.kind in "biu"):  # a point: read each entry
-        return bool(_in_shape((1 - _pair(x, a)) % _at_least(p, 4, "period") - 1))
-    a = _integer_entries(a)
-    p = _at_least(p, 4, "period")
-    wide = np.int64 if p < 2**63 else object
-    # x mod p first, in its own dtype where p fits it, so no difference below wraps
-    x = ((x if np.can_cast(np.min_scalar_type(p), x.dtype) else x.astype(wide)) % p).astype(wide)
-    hit = _in_shape((x - np.array([v % p - 1 for v in a], dtype=wide)) % p - 1)
-    return hit if hit.ndim else bool(hit)

@@ -111,18 +111,6 @@ def lambda_lattice(nu: int) -> IntegerLattice:
     return _block_diagonal(((3, 2), (0, 4)), nu)
 
 
-def contains(lattice: IntegerLattice, x: Point) -> bool:
-    """True iff x is an integer combination of the generator rows."""
-    if len(x) != lattice.n:
-        raise ValueError(f"point length {len(x)} != lattice dimension {lattice.n}")
-    return not _reduce(lattice.hnf, np.array([_integer_entries(x)], dtype=object)).any()
-
-
-def window(lattice: IntegerLattice, p: int) -> set[Point]:
-    """All lattice points with coordinates in {0,..,p-1}, as tuples; see window_array."""
-    return set(map(tuple, window_array(lattice, p).tolist()))
-
-
 def window_array(lattice: IntegerLattice, p: int) -> np.ndarray:
     """All lattice points with coordinates in {0,..,p-1}, one per row, unordered.
 

@@ -40,6 +40,7 @@ from .geometry import (
     Point,
     _at_least,
     _cross_sum,
+    _in_shape,
     _offsets,
     _row_keys,
     _WordArray,
@@ -47,7 +48,6 @@ from .geometry import (
     index_to_point,
     pairwise_minimum,
     point_to_index,
-    torus_covers,
 )
 
 #: default ceiling on window size p^n (the 12^8 case, criterion scale)
@@ -529,7 +529,9 @@ def verify(
     first_witness = None
     if witness_idx is not None:
         cell = index_to_point(witness_idx, n, p)
-        covering = words[torus_covers(words, cell, p)]
+        # the shape test on (x - a + 1) mod p - 1, the representative of x - a in -1..p-2;
+        # x and a lie in 0..p-1 and p < 2^63, so int64 holds x - a + 1
+        covering = words[_in_shape((words.astype(np.int64) - cell + 1) % p - 1)]
         first_witness = (cell, tuple(map(tuple, covering.tolist())))
 
     min_dc = None

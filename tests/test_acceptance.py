@@ -28,7 +28,7 @@ from halfcross.constructions import (
     to_binary_perfect,
 )
 from halfcross.geometry import covers, cross_distance, upsilon_offsets
-from halfcross.lattice import is_lattice_tiling, lambda_lattice, volume, window
+from halfcross.lattice import is_lattice_tiling, lambda_lattice, volume, window_array
 from halfcross.search import SearchConfig, search_tilings
 from halfcross.tiling import (
     PeriodicTiling,
@@ -158,7 +158,7 @@ def test_criterion_5_ternary_pipeline_small():
     lam = lambda_lattice(1)
     ok = (
         tiling.codewords == LAMBDA2_WINDOW
-        and set(tiling.codewords) == window(lam, 12)
+        and set(tiling.codewords) == set(map(tuple, window_array(lam, 12).tolist()))
         and rep.is_tiling
         and rep.cells_total == 144
         and is_lattice_tiling(tiling)

@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 
 from halfcross.codes import BlockCode, binary_hamming, decode_within_1, ternary_hamming
-from halfcross.constructions import locate_tile_binary, locate_tile_ternary, phi, psi
+from halfcross.constructions import locate_tile_binary, locate_tile_ternary
 from halfcross.geometry import (
     UpsilonShape,
     covers,
     cross_distance,
     index_to_point,
     point_to_index,
-    torus_covers,
     upsilon_offsets,
 )
-from halfcross.lattice import IntegerLattice, contains, lambda_lattice, window, window_array
+from halfcross.lattice import IntegerLattice, lambda_lattice, window_array
 from halfcross.search import SearchConfig
 from halfcross.tiling import (
     PeriodicTiling,
@@ -39,7 +38,6 @@ def _unit():
 #: (site, the name its messages use, the least value allowed or None, call)
 SITES = [
     ("torus_cells", "period", 4, lambda v: upsilon_offsets(1).torus_cells((0,), v)),
-    ("torus_covers", "period", 4, lambda v: torus_covers((0,), (0,), v)),
     ("UpsilonShape", "dimension", 1, lambda v: UpsilonShape(n=v)),
     # 4.0 is refused after a call with 4, as it would not be by a memo keyed on n
     ("upsilon_offsets", "dimension", 1, lambda v: (upsilon_offsets(4), upsilon_offsets(v))),
@@ -57,7 +55,6 @@ SITES = [
     ("IntegerLattice", "dimension", 1, lambda v: IntegerLattice(n=v, generator=((2,),))),
     ("lambda_lattice", "nu", 1, lambda_lattice),
     ("window_array", "period", 1, lambda v: window_array(lambda_lattice(1), v)),
-    ("window", "period", 1, lambda v: window(lambda_lattice(1), v)),
     ("SearchConfig.n", "dimension", 1, lambda v: SearchConfig(n=v, p=4)),
     ("SearchConfig.p", "period", 4, lambda v: SearchConfig(n=1, p=v)),
     ("SearchConfig.max_solutions", "max solutions", 1,
@@ -65,17 +62,12 @@ SITES = [
     ("SearchConfig.node_budget", "node budget", 1,
      lambda v: SearchConfig(n=1, p=4, node_budget=v)),
     # points: the message names the entry
-    ("torus_covers.x", "point entry", None, lambda v: torus_covers((v, 0), (0, 0), 4)),
-    ("torus_covers.a", "point entry", None, lambda v: torus_covers((0, 0), (0, v), 4)),
     ("torus_cells.x", "point entry", None, lambda v: upsilon_offsets(2).torus_cells((v, 0), 4)),
-    ("contains", "point entry", None, lambda v: contains(lambda_lattice(1), (v, 2))),
     ("index_to_point.idx", "index", 0, lambda v: index_to_point(v, 2, 4)),
     ("index_to_point.n", "dimension", 1, lambda v: index_to_point(0, v, 4)),
     ("index_to_point.p", "period", 1, lambda v: index_to_point(0, 2, v)),
     ("point_to_index.p", "period", 1, lambda v: point_to_index((1, 1), v)),
-    ("phi", "symbol", None, phi),
     ("point_to_index", "point entry", None, lambda v: point_to_index((v, 1), 4)),
-    ("psi", "pair entry", None, lambda v: psi((v, 2))),
     ("decode_within_1", "word entry", None,
      lambda v: decode_within_1(binary_hamming(3), (v, 0, 0, 0, 0, 0, 0))),
 ]
@@ -167,10 +159,8 @@ _POINT_CALLS = [
     cross_distance,
     covers,
     lambda x, y: covers(y, x),
-    lambda x, y: torus_covers(x, y, 12),
     lambda x, y: upsilon_offsets(len(x)).torus_cells(x, 12),
     lambda x, y: point_to_index(x, 256),
-    lambda x, y: contains(lambda_lattice(1), x),
 ]
 
 

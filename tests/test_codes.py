@@ -160,6 +160,9 @@ def test_decode_within_1_perfect_code():
 def test_decode_within_1_failure_is_none():
     code = BlockCode(q=2, length=4, codewords=((0, 0, 0, 0),))
     assert decode_within_1(code, (1, 1, 0, 0)) is None
+    # a word of another length is refused, not decoded
+    with pytest.raises(ValueError, match="^word length 3 != code length 7$"):
+        decode_within_1(binary_hamming(3), (0, 0, 0))
 
 
 def test_code_file_round_trip(tmp_path):

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 
 import numpy as np
 import pytest
@@ -14,15 +13,13 @@ from halfcross.constructions import (
     from_ternary_perfect,
     locate_tile_binary,
     locate_tile_ternary,
-    phi,
-    psi,
     punctured_construction,
     to_binary_perfect,
 )
 from halfcross.geometry import covers, upsilon_offsets
-from halfcross.lattice import is_lattice_tiling, lambda_lattice, window
+from halfcross.lattice import is_lattice_tiling, lambda_lattice
 from halfcross.tiling import PeriodicTiling, normalize, structural_audit, verify
-from test_lattice import cramer_contains, det_oracle
+from test_lattice import cramer_contains, det_oracle, window
 
 # frozen: a 16-word period-4 tiling of Z^7 recovered by the 0/1 vs 2/3 collapse
 EXAMPLE_7D = tuple(
@@ -83,6 +80,9 @@ def test_binary_construction_rejects_imperfect():
         from_binary_perfect(code)
     with pytest.raises(ValueError):
         from_ternary_perfect(binary_hamming(2))  # wrong alphabet
+    # the locator trusts its code, but refuses a cell whose word the code does not decode
+    with pytest.raises(ValueError, match="^decode failure: the supplied code is not perfect$"):
+        locate_tile_binary((1, 1, 0), code)
 
 
 def test_to_binary_perfect_round_trip():
@@ -121,36 +121,33 @@ def test_punctured_rejects_short_code():
 
 
 def test_phi_psi_inverse_on_representatives():
-    for s in range(3):
-        assert psi(phi(s)) == s
-        # entries are read as integers, from any sequence
-        assert psi(list(phi(np.int64(s)))) == psi(tuple(map(np.uint8, phi(s)))) == s
-    with pytest.raises(ValueError, match=r"^symbol must be in 0\.\.2, got 3$"):
-        phi(np.int64(3))
+    # the ternary route's tables, psi indexed by the residue b at b_1 + 12 b_2
+    route = constructions._TERNARY
+    assert route.phi.tolist() == [[0, 0], [1, 2], [2, 0]]
+    for s, (a, b) in enumerate(route.phi.tolist()):
+        assert route.psi[a + 12 * b] == s
 
 
 def test_psi_classes_partition():
-    # each of the 12 pairs maps to exactly one class; class sizes are 4/4/4
-    sizes = {0: 0, 1: 0, 2: 0}
-    for pair in itertools.product(range(3), range(4)):
-        sizes[psi(pair)] += 1
-    assert sizes == {0: 4, 1: 4, 2: 4}
-    for pair in ((3, 0), [0, 4], (0, -1), (1,), (1, 2, 0), 5):
-        message = f"pair must lie in Z~3 x Z~4, got {pair}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            psi(pair)
+    # each of the 12 pairs of {0,1,2} x {0,1,2,3} maps to exactly one class, of
+    # sizes 4/4/4; each class of Z^2 / Lambda_2 holds 12 of the 144 residues mod 12
+    psi = constructions._TERNARY.psi
+    box = [a + 12 * b for a, b in itertools.product(range(3), range(4))]
+    assert np.bincount(psi[box]).tolist() == [4, 4, 4]
+    assert np.bincount(psi).tolist() == [48, 48, 48]
 
 
 def test_derived_tables_match_paper():
     # the tables are indexed by the residue b in (Z_12)^2 at b_1 + 12 b_2; the paper
     # prints them on the 12 pairs of the HNF box {0,1,2} x {0,1,2,3}
     route = constructions._TERNARY
+    phi = [tuple(row) for row in route.phi.tolist()]
     box = list(itertools.product(range(3), range(4)))
-    assert {b: psi(b) for b in box} == {b: int(route.psi[b[0] + 12 * b[1]]) for b in box} == {
-        pair: s for s, rep in constructions.PHI.items() for pair in CLASSES[rep]
+    assert {b: int(route.psi[b[0] + 12 * b[1]]) for b in box} == {
+        pair: s for s, rep in enumerate(phi) for pair in CLASSES[rep]
     }
     assert {
-        b: {phi(s): tuple(v + d for v, d in zip(b, route.lift[b[0] + 12 * b[1], s].tolist()))
+        b: {phi[s]: tuple(v + d for v, d in zip(b, route.lift[b[0] + 12 * b[1], s].tolist()))
             for s in range(3)}
         for b in box
     } == ADJUST

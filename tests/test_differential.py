@@ -38,16 +38,9 @@ from halfcross.geometry import (
     index_to_point,
     pairwise_minimum,
     point_to_index,
-    torus_covers,
     upsilon_offsets,
 )
-from halfcross.lattice import (
-    IntegerLattice,
-    _hnf,
-    contains,
-    is_lattice_tiling,
-    window,
-)
+from halfcross.lattice import IntegerLattice, _hnf, is_lattice_tiling
 from halfcross.search import SearchConfig, SearchStats, divisibility_precheck, search_tilings
 from halfcross.tiling import (
     _ENTRIES,
@@ -68,7 +61,8 @@ from halfcross.tiling import (
     window_exceeds,
     write_tiling,
 )
-from test_tiling import verify_oracle
+from test_lattice import contains, window
+from test_tiling import torus_covers_oracle, verify_oracle
 
 PROFILE = settings(
     derandomize=True,
@@ -160,8 +154,9 @@ def verify_last_coordinate(
     pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> VerificationReport:
     """The window verifier as it sharded by the last coordinate only: one shard
-    per value of it, every shard written in full (kept verbatim, as are the two
-    scan helpers above, which the library has replaced by ``_scan``)."""
+    per value of it, every shard written in full (kept verbatim but for its
+    witness, which reads the per-cell cover test, as are the two scan helpers
+    above, which the library has replaced by ``_scan``)."""
     n, p = tiling.n, tiling.p
     if window_exceeds(p, n, cell_budget):
         raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
@@ -205,8 +200,8 @@ def verify_last_coordinate(
     first_witness = None
     if witness_idx is not None:
         cell = index_to_point(witness_idx, n, p)
-        covering = words[torus_covers(words, cell, p)]
-        first_witness = (cell, tuple(map(tuple, covering.tolist())))
+        covering = tuple(w for w in map(tuple, words.tolist()) if torus_covers_oracle(w, cell, p))
+        first_witness = (cell, covering)
 
     min_dc = None
     if k >= 2 and k * k <= pair_budget:
@@ -312,19 +307,6 @@ def torus_cross_distance_oracle(x, y, p):
         d = min(d, p - d)
         total += max(0, d - 1)
     return total
-
-
-def torus_covers_oracle(x, a, p):
-    exceptional = 0
-    for xi, ai in zip(x, a):
-        d = (xi - ai) % p
-        if d == 2 or d == p - 1:
-            exceptional += 1
-            if exceptional > 1:
-                return False
-        elif d != 0 and d != 1:
-            return False
-    return True
 
 
 def f1_f2_oracle(words):
@@ -786,12 +768,10 @@ def test_point_kernels_match_loop_forms(data):
         assert covers(x, other) == covers_oracle(x, other)
         assert covers(other, x) == covers_oracle(other, x)
         assert cross_distance(x, other) == cross_distance_oracle(x, other)
-        want = torus_covers_oracle(x, other, p)
-        assert torus_covers(x, other, p) == want
-        # a codeword array in the window, as verify's witness passes it
+        cells = upsilon_offsets(n).torus_cells(x, p)
+        assert (tuple(v % p for v in other) in cells) == torus_covers_oracle(x, other, p)
+        # a point taken from a codeword array as tuple(words[0]) has numpy scalar entries
         words = np.array([[v % p for v in x]], dtype=np.min_scalar_type(p - 1))
-        assert torus_covers(words, other, p).tolist() == [want]
-        # a point taken from it as tuple(words[0]) has numpy scalar entries
         cell, ints = tuple(words[0]), tuple(v % p for v in x)
         assert covers(cell, other) == covers_oracle(ints, other)
         assert cross_distance(cell, other) == cross_distance_oracle(ints, other)

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from halfcross import geometry
+from halfcross import tiling as tiling_module
 from halfcross.codes import BlockCode, min_hamming_distance
 from halfcross.geometry import (
     DimensionMismatch,
@@ -15,11 +17,11 @@ from halfcross.geometry import (
     cross_distance,
     index_to_point,
     point_to_index,
-    torus_covers,
     upsilon_offsets,
 )
-from halfcross.tiling import PeriodicTiling, _min_torus_cross_distance
+from halfcross.tiling import PeriodicTiling, _min_torus_cross_distance, verify
 from test_differential import torus_cross_distance_oracle
+from test_tiling import torus_covers_oracle
 
 
 def hamming_distance(x, y):
@@ -125,19 +127,31 @@ def test_torus_cross_distance_oracle():
             assert _min_torus_cross_distance(PeriodicTiling(n=2, p=p, codewords=[x, y])) == want
 
 
+def _witness_covering(words, a, p):
+    """The codewords verify reports as covering its witness, with the count of the
+    shards stubbed out so that the witness is the cell a."""
+    t = PeriodicTiling(n=len(a), p=p, codewords=words)
+    counts = (1, 0, point_to_index(a, p))
+    with mock.patch.object(tiling_module, "_count_shards", return_value=counts):
+        cell, covering = verify(t, cell_budget=p ** len(a), pair_budget=0).first_witness
+    assert cell == tuple(a)
+    return covering
+
+
 def test_torus_covers_matches_plain_covers():
+    # every cell of the window is a codeword, and each cell in turn the witness:
+    # its covering codewords are those whose torus cells hold it
     shape = upsilon_offsets(2)
     for p in (4, 5):  # at p = 4 the arm residues 2 and 3 are next to each other
-        for x in itertools.product(range(p), repeat=2):
-            cells = shape.torus_cells(x, p)
-            for a in itertools.product(range(p), repeat=2):
-                assert torus_covers(x, a, p) == (a in cells)
+        window = list(itertools.product(range(p), repeat=2))
+        for a in window:
+            want = tuple(x for x in window if a in shape.torus_cells(x, p))
+            assert _witness_covering(window, a, p) == want
 
 
 def test_torus_covers_and_cells_are_exact_on_python_ints_of_any_size():
     # points past int64, or within p of its ends, are worked in Python ints and
     # cells reduced mod p in them; the oracle is the shape's definition
-    assert torus_covers((2**70, 0), (0, 0), 4)
     shape, base = upsilon_offsets(2), shape_cells_oracle(2)
     rng = random.Random(22)
     ends = (2**63 - 1, -(2**63), 2**64, 2**70, -(2**70))
@@ -147,21 +161,18 @@ def test_torus_covers_and_cells_are_exact_on_python_ints_of_any_size():
                     for _ in range(2))
             want = any(all((xi + ci - ai) % p == 0 for xi, ci, ai in zip(x, c, a))
                        for c in base)
-            assert torus_covers(x, a, p) == want, (x, a, p)
-            assert (tuple(v % p for v in a) in shape.torus_cells(x, p)) == want
-            # the integer-array path takes the cell as given too
-            words = np.array([[v % p for v in x]], dtype=np.uint8)
-            assert torus_covers(words, a, p).tolist() == [want]
-            # and reduces rows mod p before any subtraction, in every dtype that holds them
-            for dtype in (np.int64, np.uint64):
-                if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in x):
-                    assert torus_covers(np.array([x], dtype=dtype), a, p).tolist() == [want]
-    assert torus_covers(np.array([[-(2**63), 0]]), (5, 0), 12).tolist() == [True]
-    assert torus_covers(np.array([[2**64 - 1, 0]], dtype=np.uint64), (3, 0), 12).tolist() == [True]
-    # periods past int64 work an integer array in Python ints
-    for p in (2**63 + 5, 2**64 + 1):
-        words = np.array([[2**64 - 1, 3], [0, 3]], dtype=np.uint64)
-        assert torus_covers(words, (2**64 - 2, 2), p).tolist() == [True, False]
+            assert (tuple(v % p for v in a) in shape.torus_cells(x, p)) == want, (x, a, p)
+            # verify's witness reads the codeword and the cell in the window
+            x, a = (tuple(v % p for v in point) for point in (x, a))
+            assert _witness_covering([x], a, p) == ((x,) if want else ())
+    # up to the largest period a tiling takes, 2^63 - 1, the witness's differences
+    # x - a + 1 reach p and stay in int64
+    for p in (2**32 + 5, 2**63 - 1):
+        ends = (0, 1, 2, p - 3, p - 2, p - 1)
+        words = list(itertools.product(ends, repeat=2))
+        for a in words:
+            want = tuple(x for x in words if torus_covers_oracle(x, a, p))
+            assert _witness_covering(words, a, p) == want
 
 
 def test_torus_cells_count_preserved():

@@ -158,20 +158,67 @@ def test_no_integer_entry_check_is_dropped():
 EXPORTS = [
     "AuditReport", "BlockCode", "FormatError", "IntegerLattice", "NonexistenceCertificate",
     "PeriodicTiling", "Point", "SearchConfig", "UpsilonShape", "VerificationReport",
-    "admissible_dimension", "binary_hamming", "contains", "covers", "cross_distance",
-    "decode_within_1", "from_binary_perfect", "from_ternary_perfect", "is_lattice_tiling",
-    "is_perfect", "is_periodic_with", "lambda_lattice", "locate_tile_binary",
-    "locate_tile_ternary", "min_hamming_distance", "nonexistence_certificate", "normalize",
-    "phi", "psi", "puncture", "punctured_construction", "read_code", "read_tiling",
-    "search_tilings", "spencer_bound", "structural_audit", "ternary_hamming",
-    "to_binary_perfect", "upsilon_offsets", "verify", "volume", "weight_split", "window",
-    "write_code", "write_tiling",
+    "admissible_dimension", "binary_hamming", "covers", "cross_distance", "decode_within_1",
+    "from_binary_perfect", "from_ternary_perfect", "is_lattice_tiling", "is_perfect",
+    "is_periodic_with", "lambda_lattice", "locate_tile_binary", "locate_tile_ternary",
+    "min_hamming_distance", "nonexistence_certificate", "normalize", "puncture",
+    "punctured_construction", "read_code", "read_tiling", "search_tilings", "spencer_bound",
+    "structural_audit", "ternary_hamming", "to_binary_perfect", "upsilon_offsets", "verify",
+    "volume", "weight_split", "write_code", "write_tiling",
 ]
+
+
+def _exported():
+    return sorted(name for name, value in vars(halfcross).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 
 def test_exported_names_are_pinned():
     # a name stays exported only while the CLI, an acceptance criterion, the
     # benchmark or another library module reaches it
-    names = sorted(name for name, value in vars(halfcross).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert names == EXPORTS
+    assert _exported() == EXPORTS
+
+
+#: exported classes no caller names: each is the type a reached function takes or returns
+_TYPES_OF_REACHED = {"AuditReport", "IntegerLattice", "NonexistenceCertificate", "UpsilonShape"}
+_MODULES = {path.stem for path in Path(halfcross.__file__).parent.glob("*.py")}
+
+
+def _reached(tree):
+    """The halfcross names a file imports, or reads as an attribute of a name bound to
+    a halfcross module (``hc.verify``, ``tiling.verify``)."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "halfcross" for alias in node.names
+                        if alias.name.split(".")[0] == "halfcross"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "halfcross"):
+            package = node.module in (None, "halfcross")  # from halfcross / from . import
+            for alias in node.names:
+                if package and alias.name in _MODULES:
+                    modules.add(alias.asname or alias.name)
+                else:
+                    names.add(alias.name)
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules}
+
+
+def test_every_export_is_reached_outside_the_tests():
+    # the callers are the library modules other than the name's own (the package's
+    # __init__ only re-exports), the benchmark and the acceptance criteria
+    root = Path(__file__).resolve().parents[1]
+    homes, reached = {}, {}
+    for path in sorted(Path(halfcross.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node]
+            homes.update({getattr(t, "name", getattr(t, "id", None)): path for t in targets})
+        if path.name != "__init__.py":
+            reached[path] = _reached(tree)
+    for path in [*sorted((root / "perfbench").glob("*.py")), root / "tests/test_acceptance.py"]:
+        reached[path] = _reached(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    unreached = [name for name in _exported() if name not in _TYPES_OF_REACHED
+                 and not any(name in names for path, names in reached.items()
+                             if path != homes.get(name))]
+    assert unreached == []
