@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -162,7 +163,9 @@ def _sorted_words(codewords, n: int, p: int) -> np.ndarray:
 
 
 def _tuples(rows: np.ndarray) -> tuple[Point, ...]:  # rows as tuples of Python ints
-    return tuple(zip(*rows.T.tolist()))
+    # zipped 4,096 rows at a time, so no more than that many column lists are alive
+    return tuple(chain.from_iterable(zip(*rows[i : i + 4096].T.tolist())
+                                     for i in range(0, len(rows), 4096)))
 
 
 class _WordArray:

@@ -7,19 +7,21 @@ and shape offset D, the cell (X - D) mod p, and demands that every cell of the
 p^n window is marked exactly once.  The window is sharded by as many trailing
 coordinates as keep each shard's marks within a fixed count (4 MiB of int32),
 decided from the codeword counts before anything is written, so memory stays
-flat however large the window: that much per worker thread.  The shards are
-counted on every CPU the process may use, each thread taking the next one,
-and their counts are merged in order.  Both ways of counting a shard read
-per-codeword tables (one entry per coordinate and offset entry).  A shard with
-at least as many marks as cells gets every cell's cover count from a scatter
-of each codeword's signed star and one box pass per coordinate, the shape
-being a box convolved with that star.  Any other shard writes its marks as
-broadcast outer sums, in the row order of ``geometry._offsets`` (which also
-gives the trailing offsets that pick each shard's codewords), into one
-buffer, sorts them once and scans them once: adjacent comparisons count the
-uncovered and multiply covered cells, and the first place the sorted marks
-leave 0, 1, ... names the lowest bad cell.  So a sparse window costs time in
-its marks, not in its cells.
+flat however large the window: a fixed multiple of that per worker thread.
+The shards are counted on every CPU the process may use, each thread taking
+the next one, and their counts are merged in order.  Both ways of counting a
+shard read one table, built once: each codeword's cell and its neighbours
+one step either way and two steps back along each leading coordinate.  A
+shard with at least half as many marks as cells gets every cell's cover
+count from a scatter of each codeword's signed star, taken from that table,
+and one box pass per coordinate, the shape being a box convolved with that
+star; with as many marks as cells, no count above 1 proves it covered.  Any
+other shard writes its marks as broadcast outer sums, in the row order of
+``geometry._offsets`` (which also gives the trailing offsets that pick each
+shard's codewords), into one buffer, sorts them once and scans them once:
+adjacent comparisons count the uncovered and multiply covered cells, and the
+first place the sorted marks leave 0, 1, ... names the lowest bad cell.  So a
+sparse window costs time in its marks, not in its cells.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ DEFAULT_CELL_BUDGET = 12**8
 #: min cross distance is only computed when k^2 stays below this
 DEFAULT_PAIR_BUDGET = 10**8
 
-#: the entries an offset D can take per coordinate; mark tables index them
-#: in this order, so j = 1, 2 are the core entries 0, 1 and j = 0, 3 the arms
-_ENTRIES = (-1, 0, 1, 2)
 #: the window is split until no shard holds more marks than this (4 MiB of int32)
 _SHARD_MARKS = 1 << 20
 
@@ -202,44 +201,49 @@ class AuditReport:
                 "checks": [asdict(c) for c in self.checks]}
 
 
-def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
-    """T[i, j, x] = ((xs[x, i] - _ENTRIES[j]) mod p) * p^i.
-
-    One entry per coordinate and offset entry: a mark is the sum of one
-    entry per coordinate.  The codeword axis is innermost, so every sum below
-    runs over long contiguous rows.  Each row is written straight into dtype,
-    so no temporary is larger than one column of xs in int64.
-    """
-    t = np.empty((xs.shape[1], len(_ENTRIES), len(xs)), dtype=dtype)
-    for i, col in enumerate(xs.T):
-        for j, e in enumerate(_ENTRIES):
-            t[i, j] = (col.astype(np.int64) - e) % p * p**i
+def _star_table(xs: np.ndarray, p: int, dtype) -> np.ndarray:
+    """The cells each codeword's marks are built from, as indices of the
+    leading p^m window (m = xs.shape[1], coordinate 1 fastest): T[0, x] is the
+    cell X = xs[x], and T[1 + j m + r, x] is X - e e_r (mod p in coordinate r)
+    for the entries e = -1, 1, 2 at j = 0, 1, 2.  So the first 1 + 2m rows are
+    X's signed star (X, X + e_r, X - e_r) and the last m its far arm cells
+    X - 2e_r.  The codeword axis is innermost; no temporary is larger than one
+    column of xs in int64."""
+    k, m = xs.shape
+    t = np.zeros((1 + 3 * m, k), dtype)
+    for r, col in enumerate(xs.T):
+        col = col.astype(np.int64)
+        t[0] += col * p**r
+        for j, e in enumerate((-1, 1, 2)):
+            t[1 + j * m + r] = ((col - e) % p - col) * p**r  # X - e e_r - X
+    t[1:] += t[0]
     return t
 
 
 def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
     """Write the marks of one codeword group to the front of out; return the count.
 
-    t is the group's table over the m = n - 1 leading coordinates.  The core
-    block (every entry in {0, 1}) comes first, as 2^m rows whose row index
-    has bit i set when coordinate i takes 1; it is built by doubling.  With
-    ``arms``, each coordinate r with entry -1 or 2 follows: the core rows
+    t is the group's ``_star_table`` over the m = n - 1 leading coordinates,
+    and each mark is X plus the differences of its entries' cells from X.
+    The core block (every entry in {0, 1}) comes first, as 2^m rows whose row
+    index has bit i set when coordinate i takes 1; it is built by doubling.
+    With ``arms``, each coordinate r with entry -1 or 2 follows: the core rows
     with bit r clear, shifted by that entry's difference from 0.
     """
-    m, _, k = t.shape
+    m, k = len(t) // 3, t.shape[1]
     core = out[: k << m].reshape(1 << m, k)
-    core[0] = t[:, 1].sum(axis=0)
+    core[0] = t[0]
     for i in range(m):
         h = 1 << i
-        np.add(core[:h], t[i, 2] - t[i, 1], out=core[h : 2 * h])
+        np.add(core[:h], t[1 + m + i] - t[0], out=core[h : 2 * h])
     pos = core.size
     if not arms:
         return pos
     for r in range(m):
         base = core.reshape(1 << (m - 1 - r), 2, 1 << r, k)[:, 0]
-        for j in (0, 3):
+        for j in (0, 2):
             block = out[pos : pos + base.size].reshape(base.shape)
-            np.add(base, t[r, j] - t[r, 1], out=block)
+            np.add(base, t[1 + j * m + r] - t[0], out=block)
             pos += base.size
     return pos
 
@@ -266,63 +270,60 @@ def _scan(arr: np.ndarray, size: int, flags: np.ndarray) -> tuple[int, int, int 
 
 def _dense(cells: int, marks: int) -> bool:
     """Whether a shard is counted by ``_box_counts`` (O(m cells)) rather than
-    sorted (O(marks log marks)): when it has no more cells than marks, which
-    also keeps its count buffers within its mark buffer."""
-    return cells <= marks
+    sorted (O(marks log marks)): with at most twice as many cells as marks,
+    where the two take about as long, so a tiling's shard short of one
+    codeword stays dense.  A thread's two count rows then hold at most four
+    counts per mark of the largest shard (8 MiB of uint16 at ``_SHARD_MARKS``)."""
+    return cells <= 2 * marks
 
 
-def _box_counts(t: np.ndarray, with_arms: int, p: int, points: np.ndarray,
-                counts: np.ndarray) -> tuple[int, int, int | None]:
+def _box_counts(table: np.ndarray, rows: np.ndarray, with_arms: int, p: int,
+                points: np.ndarray, counts: np.ndarray) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, lowest bad index or None) of a shard's p^m
     cells, the tuple ``_scan`` returns, from every cell's cover count: no sort.
 
-    t is the shard's gathered (m, 4, k) table, as ``_write_marks`` takes it;
-    its first with_arms codewords are taken with arms, the rest box-only.
-    Since (delta_0 + delta_1) * (delta_-1 - delta_0 + delta_1) = delta_-1 +
-    delta_2, the shape, the box {0,1}^m plus one arm entry in {-1, 2}, is the
-    box convolved with a signed star:
+    table is the ``_star_table`` of every codeword and rows the shard's
+    positions in it; the first with_arms codewords are taken with arms, the
+    rest box-only.  Since (delta_0 + delta_1) * (delta_-1 - delta_0 + delta_1)
+    = delta_-1 + delta_2, the shape, the box {0,1}^m plus one arm entry in
+    {-1, 2}, is the box convolved with a signed star:
 
         Upsilon_m = {0,1}^m * (delta_0 + sum_r (delta_-e_r - delta_0 + delta_e_r)).
 
     X covers the cells X - D, so the counts are m box passes over a scatter
     of weight 1 - m at X and 1 at X +- e_r (mod p) for each X taken with
-    arms, and 1 at X for each taken box-only, read off t: X = sum_i t[i, 1],
-    X + e_r = X + t[r, 0] - t[r, 1] and X - e_r = X + t[r, 2] - t[r, 1].
-    Pass i sets c'[y] = c[y] + c[y + e_i], wrapping along coordinate i: one
-    flat shifted add, then a fix of the last p^i cells of every
-    p^(i+1)-block; the two rows of ``counts`` alternate.  The weight 1 - m
-    wraps in the unsigned counts, which are exact modulo 2^bits; a cell is
-    covered by at most |Upsilon_n| distinct codewords and by no more than the
-    tiling has, and the caller picks a dtype above both bounds' minimum
-    (uint16 below 2^16), so every count is exact.  points (k + 2m with_arms
-    entries or more) takes the scattered cells, and the row not holding the
-    final counts takes the comparisons.
+    arms, and 1 at X for each taken box-only: the table's first 1 + 2m rows
+    of the codewords with arms and its first row of the others, taken
+    straight into points (k + 2m with_arms entries or more).  Pass i sets
+    c'[y] = c[y] + c[y + e_i], wrapping along coordinate i: one flat shifted
+    add, then a fix of the last p^i cells of every p^(i+1)-block; the two
+    rows of ``counts`` alternate.  The weight 1 - m wraps in the unsigned
+    counts, which are exact modulo 2^bits; a cell is covered by at most
+    |Upsilon_n| distinct codewords and by no more than the tiling has, and
+    the caller picks a dtype above both bounds' minimum (uint16 below 2^16),
+    so every count is exact.  They sum to the shard's marks, so with as many
+    marks as cells every cell is covered once exactly when no count passes
+    1: one reduction.  Only a bad shard compares its counts with 1 and 0.
     """
-    m, _, k = t.shape
-    x, a = points[:k], with_arms
-    np.add.reduce(t[:, 1], axis=0, out=x)
-    pos = k
-    for r in range(m):
-        plus, minus = points[pos : pos + a], points[pos + a : pos + 2 * a]
-        np.subtract(x[:a], t[r, 1, :a], out=plus)  # X with coordinate r at 0
-        np.add(plus, t[r, 2, :a], out=minus)  # X - e_r
-        plus += t[r, 0, :a]  # X + e_r
-        pos += 2 * a
+    m, a = len(table) // 3, with_arms
+    star = points[: (1 + 2 * m) * a]
+    np.take(table[: 1 + 2 * m], rows[:a], axis=1, out=star.reshape(1 + 2 * m, a), mode="clip")
+    pos = star.size + len(rows) - a
+    np.take(table[0], rows[a:], out=points[star.size : pos], mode="clip")
     c, spare = counts
     c.fill(0)
     np.add.at(c, points[:pos], c.dtype.type(1))  # a typed scalar takes numpy's fast path
-    np.subtract.at(c, x[:a], c.dtype.type(m))
+    np.subtract.at(c, star[:a], c.dtype.type(m))
     for i in range(m):
         h = p**i
         np.add(c[:-h], c[h:], out=spare[:-h])
         blocks = c.reshape(-1, p * h)
         np.add(blocks[:, -h:], blocks[:, :h], out=spare.reshape(-1, p * h)[:, -h:])
         c, spare = spare, c
-    once = np.equal(c, 1, out=spare.view(bool)[: c.size])
-    good = int(np.count_nonzero(once))
-    if good == c.size:
+    if (len(rows) + m * a) << m == c.size and c.max() == 1:
         return 0, 0, None
-    bad = int(once.argmin())
+    once = np.equal(c, 1, out=spare.view(bool)[: c.size])
+    good, bad = int(np.count_nonzero(once)), int(once.argmin())
     uncovered = int(np.count_nonzero(np.equal(c, 0, out=once)))
     return uncovered, c.size - good - uncovered, bad
 
@@ -405,29 +406,27 @@ def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, index of the lowest bad cell or None) of the
     window (see ``verify``).  The shards are counted on one thread per usable
     CPU, at most one per shard, the caller being one of them: each takes the
-    next shard from ``_split`` under a lock and gathers its codewords' tables.
-    A dense shard (``_dense``) is counted by ``_box_counts``, any other is
+    next shard from ``_split`` under a lock.  Every shard reads one
+    ``_star_table`` of the codewords in ``_split``'s order, built here.  A
+    dense shard (``_dense``) is counted by ``_box_counts``, any other is
     written, sorted and scanned (``_scan``), in buffers the caller allocated
-    for that thread: marks, gathered tables, flags, and two rows of p^m counts
-    when some shard can be dense.  Counts are uint16 while min(k, |Upsilon_n|)
-    < 2^16, as marks are int32 while p^m < 2^31, decided before any
-    allocation.  The per-shard results are merged in increasing trailing
-    index.  An exception in any thread is raised here once every thread is
-    joined."""
-    s, order, most, count, shards = _split(words, p)
+    for that thread: marks, the table's columns of a sparse shard, flags, and
+    two rows of p^m counts when some shard can be dense.  Counts are uint16
+    while min(k, |Upsilon_n|) < 2^16, as cell indices are int32 while p^m <
+    2^31.  The per-shard results are merged in increasing trailing index.  An
+    exception in any thread is raised here once every thread is joined."""
     k, n = words.shape
-    m = n - s
-    shard_size = p**m
+    s, order, most, count, shards = _split(words, p)
+    m, shard_size = n - s, p ** (n - s)
     dtype = np.int32 if shard_size < 2**31 else np.int64
     # a cell is covered by at most this many codewords (see _box_counts)
     bound = min(k, 2**n * (n + 1))
     tally = np.uint16 if bound < 2**16 else np.uint32 if bound < 2**32 else np.uint64
     cells = shard_size if _dense(shard_size, most) else 0  # no count buffers if none is dense
-    tables = _mark_tables(words[order, :m], p, dtype)  # every codeword's, in that order
+    table = _star_table(words[order, :m], p, dtype)
     workers = max(1, min(_cpus(), count))
     # a shard takes at most most >> m codewords (each brings 2^m marks or more)
-    picks = m * len(_ENTRIES) * (most >> m)
-    buffers = [(np.empty(most, dtype), np.empty(picks, dtype),
+    buffers = [(np.empty(most, dtype), np.empty(len(table) * (most >> m), dtype),
                 np.empty((2, most), bool), np.empty((2, cells), tally))
                for _ in range(workers)]
     results: list[tuple[int, int, int, int | None]] = []
@@ -442,13 +441,13 @@ def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
                 if shard is None:
                     return
                 c, rows, with_arms = shard
-                t = picked[: m * len(_ENTRIES) * len(rows)].reshape(m, len(_ENTRIES), -1)
-                np.take(tables, rows, axis=2, out=t, mode="clip")  # unbuffered: rows in range
                 if _dense(shard_size, (len(rows) + m * with_arms) << m):
-                    result = _box_counts(t, with_arms, p, marks, counted)
+                    result = _box_counts(table, rows, with_arms, p, marks, counted)
                 else:
-                    pos = _write_marks(t[..., :with_arms], marks, True)
-                    pos += _write_marks(t[..., with_arms:], marks[pos:], False)
+                    t = picked[: len(table) * len(rows)].reshape(len(table), -1)
+                    np.take(table, rows, axis=1, out=t, mode="clip")  # unbuffered: rows in range
+                    pos = _write_marks(t[:, :with_arms], marks, True)
+                    pos += _write_marks(t[:, with_arms:], marks[pos:], False)
                     arr = marks[:pos]
                     arr.sort()
                     result = _scan(arr, shard_size, flags)
@@ -497,18 +496,19 @@ def verify(
     cell's last s coordinates, s the fewest that keep every shard within
     ``_SHARD_MARKS`` marks (see ``_split``).  The shards are counted on every
     CPU in the process's affinity mask, one thread per CPU but no more threads
-    than shards, so memory stays within ``_SHARD_MARKS`` marks per thread; the
-    counts are merged in increasing trailing index, and shards no codeword
-    reaches count as uncovered without being written.  The offsets are
-    exactly the D in {-1,0,1,2}^n with at most one entry in {-1, 2}, so both
-    ways of counting a shard read small per-codeword tables, one entry per
-    coordinate.  A shard with at least as many marks as cells gets every
-    cell's cover count from a scatter of each codeword's signed star and one
-    box pass per coordinate (``_box_counts``): O(m p^m) sequential work and no
-    sort.  Any other shard, as in a window with few codewords, writes its
-    marks as outer sums of the tables into one buffer, sorts them once, and
-    one pass of adjacent comparisons (``_scan``) counts the distinct cells and
-    the cells marked more than once.  Either way exact-once covering (and
+    than shards, so memory stays within a fixed multiple of ``_SHARD_MARKS``
+    marks per thread (see ``_dense``); the counts are merged in increasing
+    trailing index, and shards no codeword reaches count as uncovered without
+    being written.  The offsets are exactly the D in {-1,0,1,2}^n with at most
+    one entry in {-1, 2}, so both ways of counting a shard read one table of
+    1 + 3m cells per codeword (``_star_table``).  A shard with at least half as
+    many marks as cells gets every cell's cover count from a scatter of each
+    codeword's signed star and one box pass per coordinate (``_box_counts``):
+    O(m p^m) sequential work and no sort.  Any other shard, as in a window
+    with few codewords, writes its marks as outer sums read off the table into
+    one buffer, sorts them once, and one pass of adjacent comparisons
+    (``_scan``) counts the distinct cells and the cells marked more than
+    once.  Either way exact-once covering (and
     hence both the packing and covering properties) is decided per shard, and
     the lowest cell not covered exactly once is the witness.  Cell indices
     are int32 while a shard has fewer than 2^31 cells and int64 beyond.  The
@@ -520,10 +520,7 @@ def verify(
     pair_budget = _at_least(pair_budget, 0, "pair budget")
     if window_exceeds(p, n, cell_budget):
         raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
-    total = p**n
-    k = len(tiling)
-    words = tiling.words
-
+    k, words = len(tiling), tiling.words
     uncovered, multiply, witness_idx = _count_shards(words, p)
 
     first_witness = None
@@ -540,7 +537,7 @@ def verify(
 
     return VerificationReport(
         is_tiling=(uncovered == 0 and multiply == 0),
-        cells_total=total,
+        cells_total=p**n,
         multiply_covered=multiply,
         uncovered=uncovered,
         first_witness=first_witness,

@@ -43,15 +43,12 @@ from halfcross.geometry import (
 from halfcross.lattice import IntegerLattice, _hnf, is_lattice_tiling
 from halfcross.search import SearchConfig, SearchStats, divisibility_precheck, search_tilings
 from halfcross.tiling import (
-    _ENTRIES,
     DEFAULT_CELL_BUDGET,
     DEFAULT_PAIR_BUDGET,
     CellBudgetExceeded,
     PeriodicTiling,
     VerificationReport,
-    _mark_tables,
     _min_torus_cross_distance,
-    _write_marks,
     is_periodic_with,
     normalize,
     read_tiling,
@@ -147,6 +144,53 @@ def _first_mismatch(arr: np.ndarray, stop: int) -> int:
     return stop
 
 
+#: the entries an offset D can take per coordinate; mark tables index them
+#: in this order, so j = 1, 2 are the core entries 0, 1 and j = 0, 3 the arms
+_ENTRIES = (-1, 0, 1, 2)
+
+
+def _mark_tables(xs: np.ndarray, p: int, dtype) -> np.ndarray:
+    """T[i, j, x] = ((xs[x, i] - _ENTRIES[j]) mod p) * p^i.
+
+    One entry per coordinate and offset entry: a mark is the sum of one
+    entry per coordinate.  The codeword axis is innermost, so every sum below
+    runs over long contiguous rows.  Each row is written straight into dtype,
+    so no temporary is larger than one column of xs in int64.
+    """
+    t = np.empty((xs.shape[1], len(_ENTRIES), len(xs)), dtype=dtype)
+    for i, col in enumerate(xs.T):
+        for j, e in enumerate(_ENTRIES):
+            t[i, j] = (col.astype(np.int64) - e) % p * p**i
+    return t
+
+
+def _write_marks(t: np.ndarray, out: np.ndarray, arms: bool) -> int:
+    """Write the marks of one codeword group to the front of out; return the count.
+
+    t is the group's table over the m = n - 1 leading coordinates.  The core
+    block (every entry in {0, 1}) comes first, as 2^m rows whose row index
+    has bit i set when coordinate i takes 1; it is built by doubling.  With
+    ``arms``, each coordinate r with entry -1 or 2 follows: the core rows
+    with bit r clear, shifted by that entry's difference from 0.
+    """
+    m, _, k = t.shape
+    core = out[: k << m].reshape(1 << m, k)
+    core[0] = t[:, 1].sum(axis=0)
+    for i in range(m):
+        h = 1 << i
+        np.add(core[:h], t[i, 2] - t[i, 1], out=core[h : 2 * h])
+    pos = core.size
+    if not arms:
+        return pos
+    for r in range(m):
+        base = core.reshape(1 << (m - 1 - r), 2, 1 << r, k)[:, 0]
+        for j in (0, 3):
+            block = out[pos : pos + base.size].reshape(base.shape)
+            np.add(base, t[r, j] - t[r, 1], out=block)
+            pos += base.size
+    return pos
+
+
 def verify_last_coordinate(
     tiling: PeriodicTiling,
     *,
@@ -156,7 +200,8 @@ def verify_last_coordinate(
     """The window verifier as it sharded by the last coordinate only: one shard
     per value of it, every shard written in full (kept verbatim but for its
     witness, which reads the per-cell cover test, as are the two scan helpers
-    above, which the library has replaced by ``_scan``)."""
+    above, which the library has replaced by ``_scan``, and the mark tables
+    and writer above, which the library has replaced by its star table)."""
     n, p = tiling.n, tiling.p
     if window_exceeds(p, n, cell_budget):
         raise CellBudgetExceeded(f"window {power_text(p, n)} exceeds budget {cell_budget}")
@@ -835,6 +880,24 @@ def test_every_shard_split_matches_last_coordinate_and_per_cell(case):
 def test_split_finds_the_first_bad_cell_in_a_later_shard(p, words, cell):
     report = _check_every_split(2, p, words)
     assert report.first_witness[0] == cell
+
+
+def _near_tilings():
+    words = constructions.from_binary_perfect(codes.binary_hamming(3)).words
+    # X + e_1 covers X, so it is no codeword; coordinate 1 is never trailing,
+    # so the moved codeword brings every shard of every split its marks as before
+    moved = words.copy()
+    moved[5, 0] = (moved[5, 0] + 1) % 4
+    return [(words[1:], (2**7 * 8, 0)), (moved, (384, 384))]
+
+
+@pytest.mark.parametrize("words, bad", _near_tilings(), ids=["dropped", "moved"])
+def test_split_of_a_near_tiling(words, bad):
+    # every split, with both kernels forced: a shard short of one codeword's
+    # marks, and shards with as many marks as cells, some cell doubled and
+    # another uncovered, must not pass as covered exactly once
+    report = _check_every_split(7, 4, tuple(map(tuple, words.tolist())))
+    assert (report.uncovered, report.multiply_covered) == bad
 
 
 def test_split_with_more_workers_than_shards():

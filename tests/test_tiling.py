@@ -12,14 +12,14 @@ import pytest
 from halfcross import tiling as tiling_module
 from halfcross.codes import binary_hamming, ternary_hamming
 from halfcross.constructions import from_binary_perfect, from_ternary_perfect
-from halfcross.geometry import _offsets, upsilon_offsets
+from halfcross.geometry import _offsets, point_to_index, upsilon_offsets
 from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
     TilingFormatError,
-    _mark_tables,
     _min_torus_cross_distance,
     _scan,
+    _star_table,
     _write_marks,
     admissible_dimension,
     is_periodic_with,
@@ -189,7 +189,7 @@ def test_outer_sum_marks_enumerate_upsilon():
     assert _offsets(0).shape == (1, 0)  # s = 0: one empty trailing offset
     for n in range(1, 6):
         p, m = 4, n - 1
-        t = _mark_tables(np.zeros((1, m), dtype=np.int64), p, np.int64)
+        t = _star_table(np.zeros((1, m), dtype=np.int64), p, np.int64)
         offsets = []
         for d in (-1, 0, 1, 2):
             out = np.empty(n << m, dtype=np.int64)
@@ -200,6 +200,23 @@ def test_outer_sum_marks_enumerate_upsilon():
             assert rows == list(map(tuple, want.tolist())), (n, d)
             offsets += [row + (d,) for row in rows]
         assert sorted(offsets) == list(upsilon_offsets(n).offsets)
+
+
+@pytest.mark.parametrize("m, p, dtype", [(1, 4, np.int32), (3, 5, np.int32),
+                                         (5, 12, np.int32), (2, 2**31 + 11, np.int64)])
+def test_star_table_rows_index_the_shifted_cells(m, p, dtype):
+    # row 0 is X, then m rows each of X + e_r, X - e_r and X - 2e_r (mod p), r = 1..m
+    rng = np.random.default_rng(m * p)
+    xs = rng.integers(0, p, size=(40, m), dtype=np.uint64).astype(np.min_scalar_type(p - 1))
+    xs[:2] = [[0] * m, [p - 1] * m]  # both wraps
+    t = _star_table(xs, p, dtype)
+    assert t.shape == (1 + 3 * m, len(xs)) and t.dtype == dtype
+    for x, column in zip(xs.tolist(), t.T.tolist()):
+        want = [point_to_index(x, p)]
+        for e in (-1, 1, 2):
+            want += [point_to_index([(v - e * (i == r)) % p for i, v in enumerate(x)], p)
+                     for r in range(m)]
+        assert column == want, x
 
 
 def test_verify_witness_is_lowest_bad_cell():
