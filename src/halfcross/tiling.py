@@ -7,15 +7,16 @@ and shape offset D, the cell (X - D) mod p, and demands that every cell of the
 p^n window is marked exactly once.  The window is sharded by as many trailing
 coordinates as keep each shard's marks within a fixed count (4 MiB of int32),
 decided from the codeword counts before anything is written, so memory stays
-flat however large the window: a fixed multiple of that per worker thread.
-The shards are counted on every CPU the process may use, each thread taking
-the next one, and their counts are merged in order.  Both ways of counting a
-shard read one table, built once: each codeword's cell and its neighbours
-one step either way and two steps back along each leading coordinate.  A
-shard with at least half as many marks as cells gets every cell's cover
-count from a scatter of each codeword's signed star, taken from that table,
-and one box pass per coordinate, the shape being a box convolved with that
-star; with as many marks as cells, no count above 1 proves it covered.  Any
+flat however large the window: a fixed multiple of that.  The shards are
+counted one after another on the calling thread, in order, and their counts
+merged in that order.  Both ways of counting a shard read one table,
+built once: each codeword's cell and its neighbours one step either way and
+two steps back along each leading coordinate.  A shard with at least half
+as many marks as cells gets every cell's cover count from a scatter of each
+codeword's signed star, taken from that table, and one box pass per
+coordinate, the shape being a box convolved with that star.  With as many
+marks as cells, 8-bit counts that all read 1 (mod 256) prove it covered
+exactly once; a shard they do not prove is counted again exactly.  Any
 other shard writes its marks as broadcast outer sums, in the row order of
 ``geometry._offsets`` (which also gives the trailing offsets that pick each
 shard's codewords), into one buffer, sorts them once and scans them once:
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 import sys
-import threading
 from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations
 from pathlib import Path
@@ -272,15 +271,17 @@ def _dense(cells: int, marks: int) -> bool:
     """Whether a shard is counted by ``_box_counts`` (O(m cells)) rather than
     sorted (O(marks log marks)): with at most twice as many cells as marks,
     where the two take about as long, so a tiling's shard short of one
-    codeword stays dense.  A thread's two count rows then hold at most four
-    counts per mark of the largest shard (8 MiB of uint16 at ``_SHARD_MARKS``)."""
+    codeword stays dense.  The two rows of exact counts then hold at most four
+    counts per mark of the largest shard (8 MiB of uint16 at ``_SHARD_MARKS``),
+    and the 8-bit screen reuses their memory."""
     return cells <= 2 * marks
 
 
 def _box_counts(table: np.ndarray, rows: np.ndarray, with_arms: int, p: int,
-                points: np.ndarray, counts: np.ndarray) -> tuple[int, int, int | None]:
+                points: np.ndarray, counts: np.ndarray) -> tuple[int, int, int | None] | None:
     """(uncovered, multiply covered, lowest bad index or None) of a shard's p^m
     cells, the tuple ``_scan`` returns, from every cell's cover count: no sort.
+    On 8-bit counts it returns (0, 0, None) or None: see below.
 
     table is the ``_star_table`` of every codeword and rows the shard's
     positions in it; the first with_arms codewords are taken with arms, the
@@ -298,12 +299,19 @@ def _box_counts(table: np.ndarray, rows: np.ndarray, with_arms: int, p: int,
     c'[y] = c[y] + c[y + e_i], wrapping along coordinate i: one flat shifted
     add, then a fix of the last p^i cells of every p^(i+1)-block; the two
     rows of ``counts`` alternate.  The weight 1 - m wraps in the unsigned
-    counts, which are exact modulo 2^bits; a cell is covered by at most
-    |Upsilon_n| distinct codewords and by no more than the tiling has, and
-    the caller picks a dtype above both bounds' minimum (uint16 below 2^16),
-    so every count is exact.  They sum to the shard's marks, so with as many
-    marks as cells every cell is covered once exactly when no count passes
-    1: one reduction.  Only a bad shard compares its counts with 1 and 0.
+    counts, which are exact modulo 2^bits.  A cell is covered by at most
+    |Upsilon_n| distinct codewords and by no more than the tiling has; when
+    the dtype is above both bounds' minimum (uint16 below 2^16), every count
+    is exact, every cell is covered once exactly when min = 1 = max, and
+    only a bad shard compares its counts with 1 and 0.
+
+    8-bit counts are a screen for a shard with as many marks as cells.  They
+    are exact mod 256, and the true counts are non-negative and sum to the
+    shard's marks, its cells.  So if every count is 1 mod 256, none is 0,
+    and counts of at least 1 on every cell that sum to the number of cells
+    are all 1: the shard is covered exactly once.  Any other result proves
+    nothing, so it returns None, and the caller counts the shard again on
+    exact counts.
     """
     m, a = len(table) // 3, with_arms
     star = points[: (1 + 2 * m) * a]
@@ -320,8 +328,10 @@ def _box_counts(table: np.ndarray, rows: np.ndarray, with_arms: int, p: int,
         blocks = c.reshape(-1, p * h)
         np.add(blocks[:, -h:], blocks[:, :h], out=spare.reshape(-1, p * h)[:, -h:])
         c, spare = spare, c
-    if (len(rows) + m * a) << m == c.size and c.max() == 1:
+    if c.min() == 1 == c.max():
         return 0, 0, None
+    if c.itemsize == 1:  # the screen refuses
+        return None
     once = np.equal(c, 1, out=spare.view(bool)[: c.size])
     good, bad = int(np.count_nonzero(once)), int(once.argmin())
     uncovered = int(np.count_nonzero(np.equal(c, 0, out=once)))
@@ -348,10 +358,10 @@ def _split(words: np.ndarray, p: int):
     m = n - s leading coordinates: below k 2^20 once a group's own shard
     passes the cap, at most 4k at s = n - 1, and int64 never wraps.
 
-    Returns s, the codeword order, the largest shard's mark count, the number
-    of shards holding marks, and a generator of those shards in increasing
-    trailing index, as (trailing index, positions in that order of the
-    codewords the shard takes, how many of them, leading, are taken with arms).
+    Returns s, the codeword order, the largest shard's mark count, and a
+    generator of the shards holding marks in increasing trailing index, as
+    (trailing index, positions in that order of the codewords the shard
+    takes, how many of them, leading, are taken with arms).
     """
     k, n = words.shape
     rev = words[:, ::-1]
@@ -391,32 +401,24 @@ def _split(words: np.ndarray, p: int):
             c = point_to_index(cells[lo, ::-1].tolist(), p)
             yield c, _ranges(starts[g], ends[g]), int(sizes[g[arms[lo:hi]]].sum())
 
-    return s, order, most, len(first), shards()
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+    return s, order, most, shards()
 
 
 def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
     """(uncovered, multiply covered, index of the lowest bad cell or None) of the
-    window (see ``verify``).  The shards are counted on one thread per usable
-    CPU, at most one per shard, the caller being one of them: each takes the
-    next shard from ``_split`` under a lock.  Every shard reads one
-    ``_star_table`` of the codewords in ``_split``'s order, built here.  A
-    dense shard (``_dense``) is counted by ``_box_counts``, any other is
-    written, sorted and scanned (``_scan``), in buffers the caller allocated
-    for that thread: marks, the table's columns of a sparse shard, flags, and
-    two rows of p^m counts when some shard can be dense.  Counts are uint16
-    while min(k, |Upsilon_n|) < 2^16, as cell indices are int32 while p^m <
-    2^31.  The per-shard results are merged in increasing trailing index.  An
-    exception in any thread is raised here once every thread is joined."""
+    window (see ``verify``).  The shards are counted one after another on the
+    calling thread, in ``_split``'s increasing trailing index, and every shard
+    reads one ``_star_table`` of the codewords in ``_split``'s order, built
+    here.  A dense shard (``_dense``) is counted by ``_box_counts``: with as
+    many marks as cells, first on 8-bit counts, a screen that proves a shard
+    covered exactly once; any shard not proven so is counted on exact counts.
+    Any other shard is written, sorted and scanned (``_scan``).  The buffers
+    are allocated once: marks, the table's columns of a sparse shard, flags,
+    and two rows of p^m counts when some shard can be dense, whose memory the
+    8-bit rows share.  Counts are uint16 while min(k, |Upsilon_n|) < 2^16, as
+    cell indices are int32 while p^m < 2^31."""
     k, n = words.shape
-    s, order, most, count, shards = _split(words, p)
+    s, order, most, shards = _split(words, p)
     m, shard_size = n - s, p ** (n - s)
     dtype = np.int32 if shard_size < 2**31 else np.int64
     # a cell is covered by at most this many codewords (see _box_counts)
@@ -424,54 +426,33 @@ def _count_shards(words: np.ndarray, p: int) -> tuple[int, int, int | None]:
     tally = np.uint16 if bound < 2**16 else np.uint32 if bound < 2**32 else np.uint64
     cells = shard_size if _dense(shard_size, most) else 0  # no count buffers if none is dense
     table = _star_table(words[order, :m], p, dtype)
-    workers = max(1, min(_cpus(), count))
     # a shard takes at most most >> m codewords (each brings 2^m marks or more)
-    buffers = [(np.empty(most, dtype), np.empty(len(table) * (most >> m), dtype),
-                np.empty((2, most), bool), np.empty((2, cells), tally))
-               for _ in range(workers)]
+    marks, picked = np.empty(most, dtype), np.empty(len(table) * (most >> m), dtype)
+    flags, counts = np.empty((2, most), bool), np.empty((2, cells), tally)
+    screen = counts.view(np.uint8)[:, :cells]
     results: list[tuple[int, int, int, int | None]] = []
-    lock, stop, errors = threading.Lock(), threading.Event(), []
-
-    def work(marks: np.ndarray, picked: np.ndarray, flags: np.ndarray,
-             counted: np.ndarray) -> None:
-        try:
-            while not stop.is_set():
-                with lock:
-                    shard = next(shards, None)
-                if shard is None:
-                    return
-                c, rows, with_arms = shard
-                if _dense(shard_size, (len(rows) + m * with_arms) << m):
-                    result = _box_counts(table, rows, with_arms, p, marks, counted)
-                else:
-                    t = picked[: len(table) * len(rows)].reshape(len(table), -1)
-                    np.take(table, rows, axis=1, out=t, mode="clip")  # unbuffered: rows in range
-                    pos = _write_marks(t[:, :with_arms], marks, True)
-                    pos += _write_marks(t[:, with_arms:], marks[pos:], False)
-                    arr = marks[:pos]
-                    arr.sort()
-                    result = _scan(arr, shard_size, flags)
-                results.append((c, *result))  # needs no lock
-        except Exception as exc:  # raised below once every thread is joined
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=work, args=b) for b in buffers[1:]]
-    for worker in threads:
-        worker.start()
-    try:
-        work(*buffers[0])
-    finally:
-        stop.set()
-        for worker in threads:
-            worker.join()
-    if errors:
-        raise errors[0]
+    for c, rows, with_arms in shards:
+        marked = (len(rows) + m * with_arms) << m
+        if _dense(shard_size, marked):
+            # with as many marks as cells, 8-bit counts can prove the shard
+            result = (_box_counts(table, rows, with_arms, p, marks, screen)
+                      if marked == shard_size else None)
+            if result is None:
+                result = _box_counts(table, rows, with_arms, p, marks, counts)
+        else:
+            t = picked[: len(table) * len(rows)].reshape(len(table), -1)
+            np.take(table, rows, axis=1, out=t, mode="clip")  # unbuffered: rows in range
+            pos = _write_marks(t[:, :with_arms], marks, True)
+            pos += _write_marks(t[:, with_arms:], marks[pos:], False)
+            arr = marks[:pos]
+            arr.sort()
+            result = _scan(arr, shard_size, flags)
+        results.append((c, *result))
 
     uncovered = multiply = 0
     witness_idx = None
     done = 0  # the shards below this trailing index are counted
-    for c, missing, runs, bad in chain(sorted(results), [(p**s, 0, 0, None)]):
+    for c, missing, runs, bad in chain(results, [(p**s, 0, 0, None)]):
         if c > done:  # no codeword reaches these shards: every cell is uncovered
             uncovered += (c - done) * shard_size
             if witness_idx is None:
@@ -494,26 +475,27 @@ def verify(
 
     Marks (X - D) mod p for every codeword X and offset D, sharded by the
     cell's last s coordinates, s the fewest that keep every shard within
-    ``_SHARD_MARKS`` marks (see ``_split``).  The shards are counted on every
-    CPU in the process's affinity mask, one thread per CPU but no more threads
-    than shards, so memory stays within a fixed multiple of ``_SHARD_MARKS``
-    marks per thread (see ``_dense``); the counts are merged in increasing
-    trailing index, and shards no codeword reaches count as uncovered without
-    being written.  The offsets are exactly the D in {-1,0,1,2}^n with at most
-    one entry in {-1, 2}, so both ways of counting a shard read one table of
-    1 + 3m cells per codeword (``_star_table``).  A shard with at least half as
-    many marks as cells gets every cell's cover count from a scatter of each
-    codeword's signed star and one box pass per coordinate (``_box_counts``):
-    O(m p^m) sequential work and no sort.  Any other shard, as in a window
-    with few codewords, writes its marks as outer sums read off the table into
-    one buffer, sorts them once, and one pass of adjacent comparisons
-    (``_scan``) counts the distinct cells and the cells marked more than
-    once.  Either way exact-once covering (and
-    hence both the packing and covering properties) is decided per shard, and
-    the lowest cell not covered exactly once is the witness.  Cell indices
-    are int32 while a shard has fewer than 2^31 cells and int64 beyond.  The
-    minimum torus cross distance over codeword pairs is reported when the
-    pair count is within budget.
+    ``_SHARD_MARKS`` marks (see ``_split``).  The shards are counted one after
+    another on the calling thread, in increasing trailing index, so memory
+    stays within a fixed multiple of ``_SHARD_MARKS`` marks (see ``_dense``),
+    and shards no codeword reaches count as uncovered without being written.
+    The offsets are exactly the D in {-1,0,1,2}^n with at most one entry in
+    {-1, 2}, so both ways of counting a shard read one table of 1 + 3m cells
+    per codeword (``_star_table``).  A shard with at least half as many marks
+    as cells gets every cell's cover count from a scatter of each codeword's
+    signed star and one box pass per coordinate (``_box_counts``): O(m p^m)
+    sequential work and no sort.  With as many marks as cells the passes run
+    first on 8-bit counts, which prove the shard covered exactly once when
+    every count reads 1 mod 256; a shard they do not prove is counted again
+    on exact counts.  Any other shard, as in a window with few codewords,
+    writes its marks as outer sums read off the table into one buffer, sorts
+    them once, and one pass of adjacent comparisons (``_scan``) counts the
+    distinct cells and the cells marked more than once.  Either way
+    exact-once covering (and hence both the packing and covering properties)
+    is decided per shard, and the lowest cell not covered exactly once is the
+    witness.  Cell indices are int32 while a shard has fewer than 2^31 cells
+    and int64 beyond.  The minimum torus cross distance over codeword pairs
+    is reported when the pair count is within budget.
     """
     n, p = tiling.n, tiling.p
     cell_budget = _at_least(cell_budget, 1, "cell budget")
@@ -526,9 +508,8 @@ def verify(
     first_witness = None
     if witness_idx is not None:
         cell = index_to_point(witness_idx, n, p)
-        # the shape test on (x - a + 1) mod p - 1, the representative of x - a in -1..p-2;
-        # x and a lie in 0..p-1 and p < 2^63, so int64 holds x - a + 1
-        covering = words[_in_shape((words.astype(np.int64) - cell + 1) % p - 1)]
+        # the shape test on (x - a + 1) mod p - 1, the representative of x - a in -1..p-2
+        covering = words[_in_shape((_minus(words, cell) + 1) % p - 1)]
         first_witness = (cell, tuple(map(tuple, covering.tolist())))
 
     min_dc = None
@@ -552,13 +533,19 @@ def _min_torus_cross_distance(tiling: PeriodicTiling) -> int:
     return pairwise_minimum(tiling.words.astype(exact), lambda a, b: _cross_sum(_wrap(b - a, p)))
 
 
+def _minus(words: np.ndarray, x: Point) -> np.ndarray:
+    """words - x row by row, in twice the words' width (int64 at most), which
+    holds b - a + 1 for any entries a, b in 0..p-1 (p < 2^63); x is taken in
+    that dtype too, or it would promote the result to int64."""
+    wide = np.dtype(f"i{min(2 * words.itemsize, 8)}")
+    return words.astype(wide) - np.asarray(x, dtype=wide)
+
+
 def normalize(tiling: PeriodicTiling, x0: Point) -> PeriodicTiling:
     """Translate so that the codeword x0 moves to the origin."""
     if x0 not in tiling:
         raise ValueError(f"{x0} is not a codeword")
-    # twice the words' width, int64 at most, holds every difference (p < 2^63)
-    wide = np.dtype(f"i{min(2 * tiling.words.itemsize, 8)}")
-    moved = (tiling.words.astype(wide) - np.asarray(x0, dtype=wide)) % tiling.p
+    moved = _minus(tiling.words, x0) % tiling.p
     return PeriodicTiling(n=tiling.n, p=tiling.p, codewords=moved)
 
 

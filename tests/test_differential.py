@@ -822,13 +822,12 @@ def test_point_kernels_match_loop_forms(data):
         assert cross_distance(cell, other) == cross_distance_oracle(ints, other)
 
 
-def _check_every_split(n, p, words, workers=3):
+def _check_every_split(n, p, words):
     """verify with the shard-mark cap set so that the split takes every s from 0
     to n - 1 (and the cap below every shard, which falls back to n - 1) gives
-    the report of the last-coordinate verifier and the per-cell counter, on one
-    worker and, field for field the same, on ``workers`` threads; and so does
-    every split on one worker with every shard forced onto the box-pass kernel,
-    and again with every shard forced onto the sort and ``_scan``."""
+    the report of the last-coordinate verifier and the per-cell counter; and so
+    does every split with every shard forced onto the box-pass kernel, and
+    again with every shard forced onto the sort and ``_scan``."""
     t = PeriodicTiling(n=n, p=p, codewords=words)
     want = verify_last_coordinate(t)
     uncovered, multiply, witness = verify_oracle(t)
@@ -846,15 +845,13 @@ def _check_every_split(n, p, words, workers=3):
         return plan
 
     caps = [*enumerate(shard_marks_oracle(words, n, p)), (n - 1, 0)]
-    runs = [(1, None), (workers, None), (1, True), (1, False)]
     for s, cap in caps:
-        for cpus, dense in runs:
+        for dense in (None, True, False):
             kernel = tiling_module._dense if dense is None else lambda *_: dense
             with mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
                     mock.patch.object(tiling_module, "_split", spy), \
-                    mock.patch.object(tiling_module, "_cpus", return_value=cpus), \
                     mock.patch.object(tiling_module, "_dense", kernel):
-                assert verify(t) == want, (s, cap, cpus, dense)
+                assert verify(t) == want, (s, cap, dense)
             # a shard's most marks fall with every coordinate added to s (each
             # codeword's spread over two values of it), so s is the fewest in cap
             assert chosen.pop() == (s if words else 0)
@@ -900,10 +897,47 @@ def test_split_of_a_near_tiling(words, bad):
     assert (report.uncovered, report.multiply_covered) == bad
 
 
-def test_split_with_more_workers_than_shards():
-    # one codeword of the 4^2 window reaches one shard at s = 0 and all four
-    # at s = 1, so eight workers exceed the shard count at every split
-    _check_every_split(2, 4, ((1, 2),), workers=8)
+def test_screen_refuses_each_bad_full_shard_and_it_is_recounted():
+    # in the moved near-tiling every shard of every split has as many marks as
+    # cells: each is screened on 8-bit counts, which prove the shards covered
+    # exactly once and refuse the others, each of which is then counted again
+    # on exact counts and found bad
+    n, p = 7, 4
+    words = tuple(map(tuple, _near_tilings()[1][0].tolist()))
+    t = PeriodicTiling(n=n, p=p, codewords=words)
+    shape = upsilon_offsets(n)
+    hits = Counter(cell for x in words for cell in shape.torus_cells(x, p))
+    bad = [cell for cell in itertools.product(range(p), repeat=n) if hits[cell] != 1]
+    box, calls = tiling_module._box_counts, []
+
+    def spy(table, rows, with_arms, q, points, counts):
+        result = box(table, rows, with_arms, q, points, counts)
+        calls.append((rows.tolist(), counts.dtype, result))
+        return result
+
+    for s, cap in enumerate(shard_marks_oracle(words, n, p)):
+        calls.clear()
+        with mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
+                mock.patch.object(tiling_module, "_box_counts", spy):
+            verify(t)
+        screens = [call for call in calls if call[1] == np.uint8]
+        assert len(screens) == p**s  # every shard, each screened once
+        refused = 0
+        for (rows, dtype, result), after in zip(calls, calls[1:] + [None]):
+            if dtype == np.uint16:
+                continue
+            if result is None:  # the next call recounts the same shard exactly
+                refused += 1
+                assert after[:2] == (rows, np.uint16) and after[2] != (0, 0, None)
+            else:
+                assert result == (0, 0, None) and (after is None or after[1] == np.uint8)
+        # one refusal per shard holding a cell not covered exactly once
+        assert refused == len({cell[n - s :] for cell in bad}) > 0, s
+
+
+def test_split_of_one_codeword_in_a_small_window():
+    # one codeword of the 4^2 window reaches one shard at s = 0 and all four at s = 1
+    _check_every_split(2, 4, ((1, 2),))
 
 
 def test_split_counts_every_group_a_shard_takes():

@@ -175,6 +175,17 @@ def test_torus_covers_and_cells_are_exact_on_python_ints_of_any_size():
             assert _witness_covering(words, a, p) == want
 
 
+@pytest.mark.parametrize("p", [256, 257, 2**16 + 1, 2**32 + 15, 2**63 - 25])
+def test_witness_covering_exact_in_every_word_dtype(p):
+    # words of uint8, uint16, uint32 and uint64, differenced in twice their
+    # width: x - a + 1 runs from 2 - p to p, and these entries reach both ends
+    ends = (0, 1, 2, p - 3, p - 2, p - 1)
+    words = list(itertools.product(ends, repeat=2))
+    for a in words:
+        want = tuple(x for x in words if torus_covers_oracle(x, a, p))
+        assert _witness_covering(words, a, p) == want
+
+
 def test_torus_cells_count_preserved():
     # p >= 4 keeps all 2^n (n+1) cells distinct after reduction
     shape = upsilon_offsets(3)

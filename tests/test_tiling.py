@@ -1,22 +1,22 @@
 """Exact-cover verification, normalization, certificates, audits, file round-trips."""
 
 import itertools
-import sys
-import threading
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from halfcross import tiling as tiling_module
-from halfcross.codes import binary_hamming, ternary_hamming
-from halfcross.constructions import from_binary_perfect, from_ternary_perfect
+from halfcross.codes import ternary_hamming
+from halfcross.constructions import from_ternary_perfect
 from halfcross.geometry import _offsets, point_to_index, upsilon_offsets
 from halfcross.tiling import (
     CellBudgetExceeded,
     PeriodicTiling,
     TilingFormatError,
+    _box_counts,
     _min_torus_cross_distance,
     _scan,
     _star_table,
@@ -100,15 +100,35 @@ def dense_spy():
 
 
 def test_verify_lambda2_window():
-    # one shard of 144 cells and 144 marks: counted by box passes
+    # one shard of 144 cells and 144 marks: proven by one box-pass screen on
+    # 8-bit counts, with no exact recount
     with dense_spy() as dense:
         report = verify(lambda2_tiling())
     assert dense.call_count == 1
+    assert dense.call_args.args[-1].dtype == np.uint8
     assert report.is_tiling
     assert report.cells_total == 144
     assert report.multiply_covered == 0 and report.uncovered == 0
     assert report.first_witness is None
     assert report.min_cross_distance == 3
+
+
+def test_screen_refuses_counts_that_wrap_to_one():
+    # one codeword taken 257 times over the 1028 cells of Z_1028 brings 1028
+    # marks, as many as cells; on 8-bit counts its four cells read 257 = 1
+    # (mod 256) and the rest 0, so "no count above 1" would pass the shard; the
+    # screen refuses it, and exact counts give the per-cell counter's answer
+    p, x, times = 1028, 5, 257
+    table, rows = _star_table(np.array([[x]]), p, np.int32), np.zeros(times, np.int64)
+    points = np.empty(3 * times, np.int32)
+    screen, exact = np.zeros((2, p), np.uint8), np.zeros((2, p), np.uint16)
+    assert _box_counts(table, rows, times, p, points, screen) is None
+    # one box pass: the counts end in the second row
+    assert np.bincount(screen[1]).tolist() == [p - 4, 4]
+    hits = Counter({cell[0]: times for cell in upsilon_offsets(1).torus_cells((x,), p)})
+    bad = [cell for cell in range(p) if hits[cell] != 1]
+    want = (p - len(hits), sum(v > 1 for v in hits.values()), bad[0])
+    assert _box_counts(table, rows, times, p, points, exact) == want == (p - 4, 4, 0)
 
 
 def test_verify_matches_oracle_on_perturbations():
@@ -279,7 +299,6 @@ def test_verify_int64_shard_indices():
     assert report.first_witness == ((0,) * n, ())
 
 
-@pytest.mark.parametrize("in_caller", [True, False])
 @pytest.mark.parametrize(
     "kernel, words",
     [
@@ -292,63 +311,21 @@ def test_verify_int64_shard_indices():
     ],
     ids=["box", "scan"],
 )
-def test_verify_raises_a_worker_error_once_every_thread_is_joined(kernel, words, in_caller):
-    # on three threads, the first shard counted in the calling thread (or in
-    # another) raises, and the other side waits for that before it counts any
-    count, raised = getattr(tiling_module, kernel), threading.Event()
+def test_verify_raises_a_kernel_error(kernel, words):
+    # the third shard's count raises, and the error leaves verify as it was raised
+    count, calls = getattr(tiling_module, kernel), []
 
     def failing(*args):
-        if (threading.current_thread() is threading.main_thread()) == in_caller:
-            raised.set()
+        calls.append(None)
+        if len(calls) == 3:
             raise ArithmeticError("shard")
-        assert raised.wait(timeout=10)
         return count(*args)
 
-    before = threading.active_count()
-    with mock.patch.object(tiling_module, "_cpus", return_value=3), \
-            mock.patch.object(tiling_module, "_SHARD_MARKS", 16), \
+    with mock.patch.object(tiling_module, "_SHARD_MARKS", 16), \
             mock.patch.object(tiling_module, kernel, failing), \
             pytest.raises(ArithmeticError, match="shard"):
         verify(PeriodicTiling(n=2, p=12, codewords=words))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize(
-    "n, p, words, cap, started",
-    [
-        # Lambda_2 at 12^2 is one shard: the caller counts it alone
-        (2, 12, LAMBDA2_WORDS, 1 << 20, 0),
-        # one codeword split by its last coordinate reaches four shards, so
-        # eight CPUs give four workers: the caller and three threads
-        (2, 4, ((1, 2),), 11, 3),
-    ],
-)
-def test_verify_starts_a_thread_per_shard_at_most(n, p, words, cap, started):
-    t = PeriodicTiling(n=n, p=p, codewords=words)
-    with mock.patch.object(tiling_module, "_cpus", return_value=8), \
-            mock.patch.object(tiling_module, "_SHARD_MARKS", cap), \
-            mock.patch.object(threading, "Thread", wraps=threading.Thread) as spy:
-        verify(t)
-    assert spy.call_count == started
-
-
-def test_verify_on_more_threads_than_cpus_loses_no_shard():
-    # 4^7 cells in 64-mark shards on eight threads switching every microsecond:
-    # a result lost or a shard counted twice would change the report
-    words = from_binary_perfect(binary_hamming(3)).words
-    t = PeriodicTiling(n=7, p=4, codewords=np.r_[words[1:], [[1, 2, 3, 0, 1, 2, 3]]])
-    with mock.patch.object(tiling_module, "_SHARD_MARKS", 64):
-        with mock.patch.object(tiling_module, "_cpus", return_value=1):
-            want = verify(t)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with mock.patch.object(tiling_module, "_cpus", return_value=8):
-                reports = [verify(t) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-    assert want.uncovered and want.multiply_covered
-    assert reports == [want] * 5
+    assert len(calls) == 3
 
 
 def test_min_cross_distance_needs_two_codewords():
