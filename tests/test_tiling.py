@@ -1,6 +1,7 @@
 """Exact-cover verification, normalization, certificates, audits, file round-trips."""
 
 import itertools
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -299,6 +300,7 @@ def test_verify_int64_shard_indices():
     assert report.first_witness == ((0,) * n, ())
 
 
+@pytest.mark.parametrize("in_caller", [True, False])
 @pytest.mark.parametrize(
     "kernel, words",
     [
@@ -311,21 +313,27 @@ def test_verify_int64_shard_indices():
     ],
     ids=["box", "scan"],
 )
-def test_verify_raises_a_kernel_error(kernel, words):
-    # the third shard's count raises, and the error leaves verify as it was raised
+def test_verify_raises_a_worker_error_once_every_thread_is_joined(kernel, words, in_caller):
+    # every shard is counted on the calling thread: the first shard's count
+    # (in_caller) or the third's raises, the error leaves verify as it was
+    # raised, no later shard is counted, and no thread is left running
     count, calls = getattr(tiling_module, kernel), []
+    failing_call = 1 if in_caller else 3
 
     def failing(*args):
+        assert threading.current_thread() is threading.main_thread()
         calls.append(None)
-        if len(calls) == 3:
+        if len(calls) == failing_call:
             raise ArithmeticError("shard")
         return count(*args)
 
+    before = threading.active_count()
     with mock.patch.object(tiling_module, "_SHARD_MARKS", 16), \
             mock.patch.object(tiling_module, kernel, failing), \
             pytest.raises(ArithmeticError, match="shard"):
         verify(PeriodicTiling(n=2, p=12, codewords=words))
-    assert len(calls) == 3
+    assert len(calls) == failing_call
+    assert threading.active_count() == before
 
 
 def test_min_cross_distance_needs_two_codewords():
